@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   // those misses populate the slot through the fallback engine; the timed
   // pass below must then be 100% hits.
   for (const auto& [name, target] : mix) {
-    ftl::library::SynthesisRequest request;  // kAuto: library, then engines
+    ftl::library::SynthesisRequest request;  // library, then Altun-Riedel
     (void)ftl::library::synthesize(target, request, &lib);
   }
   std::size_t warm_requests = 0, warm_hits = 0;

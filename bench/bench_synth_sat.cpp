@@ -1,25 +1,22 @@
-// Exhaustive-vs-SAT synthesis crossover, plus the headline the SAT core
-// exists for: 5x5 lattices for 8-variable functions, a size the exhaustive
-// odometer refuses outright (its candidate space is ~1e31 against a 4e12
-// budget).
+// CEGAR SAT synthesis timings, plus the headline the SAT core exists for:
+// 5x5 lattices for 8-variable functions.
 //
-// Three sections, each with built-in correctness gates:
-//  1. Crossover table — targets solvable by both engines, timed head to
-//     head; the engines must agree on feasibility, and every found lattice
-//     must realize its target (bitslice-verified).
-//  2. The exhaustive wall — a 6-variable target where exhaustive_synthesis
-//     throws SearchBoundExceeded while synth_sat just solves it, and a
-//     zero-budget CEGAR run that must report budget_exhausted rather than
-//     pretend.
-//  3. Headline — 8-variable functions on 5x5: a structured 4-way AND-OR
+// Two sections, each with built-in correctness gates:
+//  1. Small shapes — feasible and infeasible 3-6 variable targets; every
+//     run must reach its known verdict (a lattice or a proof of
+//     infeasibility), and every found lattice must realize its target
+//     (bitslice-verified). A zero-budget CEGAR run must report
+//     budget_exhausted rather than pretend. Agreement with an independent
+//     complete search lives in the test suite (test_sat_synthesis).
+//  2. Headline — 8-variable functions on 5x5: a structured 4-way AND-OR
 //     and (full mode) a random-lattice-derived function depending on all
 //     8 variables.
 //
 //   bench_synth_sat [out.json] [--quick]
 //
-// --quick drops the slowest exhaustive rows and the random-function
-// headline so the CI smoke finishes in seconds; every correctness gate
-// still runs and still decides the exit code.
+// --quick drops the random-function headline so the CI smoke finishes in
+// seconds; every correctness gate still runs and still decides the exit
+// code.
 
 #include <chrono>
 #include <cstdint>
@@ -33,7 +30,6 @@
 #include "ftl/lattice/lattice.hpp"
 #include "ftl/lattice/synthesis.hpp"
 #include "ftl/logic/truth_table.hpp"
-#include "ftl/util/error.hpp"
 #include "ftl/util/table.hpp"
 
 namespace {
@@ -81,49 +77,33 @@ TruthTable pairwise_or(int num_vars) {
   });
 }
 
-struct CrossoverRow {
+struct SmallRow {
   std::string name;
-  double exhaustive_s = 0.0;
   double sat_s = 0.0;
-  bool exhaustive_found = false;
-  bool sat_found = false;
-  bool sat_infeasible = false;
-  std::uint64_t sat_conflicts = 0;
+  bool found = false;
+  bool infeasible = false;
+  std::uint64_t conflicts = 0;
   bool ok = true;
 };
 
-CrossoverRow run_crossover(const std::string& name, const TruthTable& target,
-                           int rows, int cols) {
-  CrossoverRow row;
+SmallRow run_small(const std::string& name, const TruthTable& target,
+                   int rows, int cols, bool feasible) {
+  SmallRow row;
   row.name = name;
-
-  auto start = Clock::now();
-  const std::optional<Lattice> exhaustive =
-      ftl::lattice::exhaustive_synthesis(target, rows, cols);
-  row.exhaustive_s = seconds_since(start);
-  row.exhaustive_found = exhaustive.has_value();
-
-  start = Clock::now();
+  const auto start = Clock::now();
   const ftl::lattice::SatSynthesisResult sat =
       ftl::lattice::synth_sat(target, rows, cols);
   row.sat_s = seconds_since(start);
-  row.sat_found = sat.lattice.has_value();
-  row.sat_infeasible = sat.proven_infeasible;
-  row.sat_conflicts = sat.solver.conflicts;
-
-  if (row.exhaustive_found != row.sat_found) {
-    std::fprintf(stderr, "FAIL: %s: exhaustive found=%d but sat found=%d\n",
-                 name.c_str(), row.exhaustive_found, row.sat_found);
-    row.ok = false;
-  }
-  if (!row.exhaustive_found && !row.sat_infeasible) {
+  row.found = sat.lattice.has_value();
+  row.infeasible = sat.proven_infeasible;
+  row.conflicts = sat.solver.conflicts;
+  if (!row.found && !row.infeasible) {
     std::fprintf(stderr, "FAIL: %s: no lattice but SAT did not prove UNSAT\n",
                  name.c_str());
     row.ok = false;
-  }
-  if (exhaustive && !ftl::lattice::realizes(*exhaustive, target)) {
-    std::fprintf(stderr, "FAIL: %s: exhaustive lattice does not realize\n",
-                 name.c_str());
+  } else if (row.found != feasible) {
+    std::fprintf(stderr, "FAIL: %s: expected %s\n", name.c_str(),
+                 feasible ? "a lattice" : "a proof of infeasibility");
     row.ok = false;
   }
   if (sat.lattice && !ftl::lattice::realizes(*sat.lattice, target)) {
@@ -141,7 +121,6 @@ struct HeadlineRow {
   int care_minterms = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t propagations = 0;
-  bool wall_hit = false;  ///< exhaustive refused via SearchBoundExceeded
   bool ok = true;
 };
 
@@ -149,20 +128,6 @@ HeadlineRow run_headline(const std::string& name, const TruthTable& target,
                          int rows, int cols) {
   HeadlineRow row;
   row.name = name;
-
-  try {
-    (void)ftl::lattice::exhaustive_synthesis(target, rows, cols);
-    std::fprintf(stderr, "FAIL: %s: exhaustive did not hit its budget\n",
-                 name.c_str());
-    row.ok = false;
-  } catch (const ftl::lattice::SearchBoundExceeded&) {
-    row.wall_hit = true;
-  } catch (const ftl::ContractViolation&) {
-    // 25 cells trips the engine's own >=20-cell precondition before the
-    // candidate budget is even consulted — a refusal either way.
-    row.wall_hit = true;
-  }
-
   const auto start = Clock::now();
   const ftl::lattice::SatSynthesisResult sat =
       ftl::lattice::synth_sat(target, rows, cols);
@@ -199,41 +164,16 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // --- 1. crossover: both engines on targets both can decide --------------
-  std::vector<CrossoverRow> crossover;
-  crossover.push_back(run_crossover("maj3 2x2 (UNSAT)", majority3(), 2, 2));
-  crossover.push_back(run_crossover("maj3 2x3", majority3(), 2, 3));
-  crossover.push_back(run_crossover("xor3 2x3 (UNSAT)", parity3(), 2, 3));
-  crossover.push_back(run_crossover("2x2-or 2x3", pairwise_or(4), 2, 3));
-  if (!quick) {
-    // 8^9 = 134M candidates: the exhaustive engine's practical ceiling.
-    crossover.push_back(run_crossover("xor3 3x3", parity3(), 3, 3));
-  }
-  for (const CrossoverRow& row : crossover) ok = ok && row.ok;
+  // --- 1. small shapes ----------------------------------------------------
+  std::vector<SmallRow> small;
+  small.push_back(run_small("maj3 2x2 (UNSAT)", majority3(), 2, 2, false));
+  small.push_back(run_small("maj3 2x3", majority3(), 2, 3, true));
+  small.push_back(run_small("xor3 2x3 (UNSAT)", parity3(), 2, 3, false));
+  small.push_back(run_small("2x2-or 2x3", pairwise_or(4), 2, 3, true));
+  small.push_back(run_small("xor3 3x3", parity3(), 3, 3, true));
+  small.push_back(run_small("2x2x2-or 4x5 (6var)", pairwise_or(6), 4, 5, true));
+  for (const SmallRow& row : small) ok = ok && row.ok;
 
-  // --- 2. the exhaustive wall ---------------------------------------------
-  // 6 variables on 4x5: 14^20 ~ 8e22 candidates. The exhaustive engine must
-  // refuse with the structured error; the SAT engine just solves it.
-  const TruthTable six = pairwise_or(6);
-  bool wall_refused = false;
-  double wall_sat_s = 0.0;
-  {
-    try {
-      (void)ftl::lattice::exhaustive_synthesis(six, 4, 5);
-      std::fprintf(stderr, "FAIL: exhaustive 4x5/6var did not refuse\n");
-      ok = false;
-    } catch (const ftl::lattice::SearchBoundExceeded&) {
-      wall_refused = true;
-    }
-    const auto start = Clock::now();
-    const ftl::lattice::SatSynthesisResult sat =
-        ftl::lattice::synth_sat(six, 4, 5);
-    wall_sat_s = seconds_since(start);
-    if (!sat.lattice || !ftl::lattice::realizes(*sat.lattice, six)) {
-      std::fprintf(stderr, "FAIL: synth_sat 4x5/6var failed to solve\n");
-      ok = false;
-    }
-  }
   // A zero conflict budget must surface as an explicit refusal.
   {
     ftl::lattice::SatSynthesisOptions options;
@@ -246,7 +186,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 3. headline: 8 variables on 5x5 ------------------------------------
+  // --- 2. headline: 8 variables on 5x5 ------------------------------------
   std::vector<HeadlineRow> headline;
   headline.push_back(
       run_headline("5x5/8var structured", pairwise_or(8), 5, 5));
@@ -273,23 +213,17 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, spec, value);
     return std::string(buf);
   };
-  ftl::util::ConsoleTable table(
-      {"target", "exhaustive", "synth_sat", "outcome"});
-  for (const CrossoverRow& row : crossover) {
-    table.add_row({row.name, fmt("%.1f ms", row.exhaustive_s * 1e3),
-                   fmt("%.1f ms", row.sat_s * 1e3),
-                   row.sat_found ? "both found"
-                                 : (row.sat_infeasible ? "both UNSAT" : "?")});
+  ftl::util::ConsoleTable table({"target", "synth_sat", "outcome"});
+  for (const SmallRow& row : small) {
+    table.add_row({row.name, fmt("%.1f ms", row.sat_s * 1e3),
+                   row.found ? "found" : (row.infeasible ? "UNSAT" : "?")});
   }
-  table.add_row({"2x2x2-or 4x5 (6var)", wall_refused ? "refused (1e22)" : "?",
-                 fmt("%.1f ms", wall_sat_s * 1e3), "exhaustive wall"});
   for (const HeadlineRow& row : headline) {
     char note[96];
     std::snprintf(note, sizeof note, "%d rounds, %d minterms, %llu conflicts",
                   row.cegar_rounds, row.care_minterms,
                   static_cast<unsigned long long>(row.conflicts));
-    table.add_row({row.name, row.wall_hit ? "refused (1e31)" : "?",
-                   fmt("%.2f s", row.sat_s), note});
+    table.add_row({row.name, fmt("%.2f s", row.sat_s), note});
   }
   std::printf("%s", table.render().c_str());
 
@@ -299,20 +233,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   file << "{\"bench\":\"synth_sat\",\"quick\":" << (quick ? "true" : "false")
-       << ",\"crossover\":[";
-  for (std::size_t i = 0; i < crossover.size(); ++i) {
-    const CrossoverRow& row = crossover[i];
+       << ",\"small\":[";
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    const SmallRow& row = small[i];
     if (i != 0) file << ",";
     file << "{\"target\":\"" << row.name << "\""
-         << ",\"exhaustive_ms\":" << row.exhaustive_s * 1e3
          << ",\"sat_ms\":" << row.sat_s * 1e3
-         << ",\"found\":" << (row.sat_found ? "true" : "false")
-         << ",\"conflicts\":" << row.sat_conflicts << "}";
+         << ",\"found\":" << (row.found ? "true" : "false")
+         << ",\"conflicts\":" << row.conflicts << "}";
   }
-  file << "],\"wall_4x5_6var\":{"
-       << "\"exhaustive_refused\":" << (wall_refused ? "true" : "false")
-       << ",\"sat_ms\":" << wall_sat_s * 1e3 << "}"
-       << ",\"headline\":[";
+  file << "],\"headline\":[";
   for (std::size_t i = 0; i < headline.size(); ++i) {
     const HeadlineRow& row = headline[i];
     if (i != 0) file << ",";
@@ -321,9 +251,7 @@ int main(int argc, char** argv) {
          << ",\"cegar_rounds\":" << row.cegar_rounds
          << ",\"care_minterms\":" << row.care_minterms
          << ",\"conflicts\":" << row.conflicts
-         << ",\"propagations\":" << row.propagations
-         << ",\"exhaustive_refused\":" << (row.wall_hit ? "true" : "false")
-         << "}";
+         << ",\"propagations\":" << row.propagations << "}";
   }
   file << "]}" << '\n';
   std::printf("wrote %s\n", out_path.c_str());

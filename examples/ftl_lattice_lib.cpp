@@ -12,11 +12,13 @@
 // mismatch, so a library directory can be audited after manual edits or
 // partial writes. With --certify, each audited entry is additionally proven
 // correct by a DRAT-checked SAT equivalence AND shape-minimal by walking
-// the precompute ladder with certified infeasibility at every smaller
-// shape; entries that pass get their `certified` bit stamped into the
-// on-disk record. Budget exhaustion leaves an entry unproven (not an
-// error); a rejected proof is an error.
+// the lattice::smallest_lattice ladder with certified infeasibility at
+// every smaller shape; entries that pass get their `certified` bit stamped
+// into the on-disk record. Budget exhaustion leaves an entry unproven (not
+// an error), as does a size above the SAT encoding's 64-cell ceiling; a
+// rejected proof is an error.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -116,11 +118,11 @@ int cmd_stats(ftl::library::LatticeLibrary& lib) {
 }
 
 /// One entry's --certify audit: DRAT-checked SAT equivalence, then the
-/// precompute shape ladder with certified infeasibility at every strictly
+/// smallest_lattice ladder with certified infeasibility at every strictly
 /// smaller shape. Outcomes are disjoint; exactly one counter is bumped.
 struct CertifyTally {
   std::size_t stamped = 0;      ///< proven correct + minimal, bit written
-  std::size_t unproven = 0;     ///< a budget ran out somewhere; no stamp
+  std::size_t unproven = 0;     ///< a budget ran out, or over 65 cells
   std::size_t improvable = 0;   ///< a smaller shape realizes the class
   std::size_t proof_failures = 0;  ///< some UNSAT failed the DRAT checker
 };
@@ -143,42 +145,40 @@ void certify_entry(ftl::library::LatticeLibrary& lib, std::uint64_t key,
     return;
   }
   // Minimality: every shape with fewer cells must be proven infeasible,
-  // walking the same ladder the precompute pass minimizes along.
-  bool proven = true;
-  for (int cells = 1; cells < entry.lattice.cell_count() && proven; ++cells) {
-    for (const auto& [rows, cols] : ftl::library::shapes_with_cells(cells)) {
-      ftl::lattice::SatSynthesisOptions sat;
-      sat.certify = true;
-      sat.max_conflicts = conflicts;
-      const ftl::lattice::SatSynthesisResult result =
-          ftl::lattice::synth_sat(want, rows, cols, sat);
-      if (result.lattice.has_value()) {
-        std::printf("IMPROVABLE %s (%s): a %dx%d lattice realizes the class\n",
-                    ftl::jobs::digest_hex(key).c_str(), phase, rows, cols);
-        ++tally.improvable;
-        return;
-      }
-      if (result.proven_infeasible) {
-        if (!result.proof_valid) {
-          std::printf(
-              "PROOF-FAIL %s (%s): %dx%d infeasibility rejected by the DRAT "
-              "checker\n",
-              ftl::jobs::digest_hex(key).c_str(), phase, rows, cols);
-          ++tally.proof_failures;
-          return;
-        }
-      } else {
-        proven = false;  // budget exhausted: minimality stays open
-        break;
-      }
+  // walking the same ladder the precompute pass minimizes along. SAT
+  // encodes at most 64 cells, so a larger entry (the curated 5-6 variable
+  // parity and majority lattices) can be shown improvable but never
+  // certified minimal.
+  constexpr int kMaxSatCells = 64;
+  const int smaller_cells = entry.lattice.cell_count() - 1;
+  ftl::lattice::SatSynthesisOptions sat;
+  sat.certify = true;
+  sat.max_conflicts = conflicts;
+  const ftl::lattice::SmallestLatticeResult ladder =
+      ftl::lattice::smallest_lattice(
+          want, std::min(smaller_cells, kMaxSatCells), sat);
+  for (const ftl::lattice::ShapeAttempt& attempt : ladder.attempts) {
+    if (attempt.sat.proven_infeasible && !attempt.sat.proof_valid) {
+      std::printf(
+          "PROOF-FAIL %s (%s): %dx%d infeasibility rejected by the DRAT "
+          "checker\n",
+          ftl::jobs::digest_hex(key).c_str(), phase, attempt.rows,
+          attempt.cols);
+      ++tally.proof_failures;
+      return;
     }
   }
-  if (!proven) {
-    ++tally.unproven;
-    return;
+  if (ladder.lattice) {
+    std::printf("IMPROVABLE %s (%s): a %dx%d lattice realizes the class\n",
+                ftl::jobs::digest_hex(key).c_str(), phase,
+                ladder.lattice->rows(), ladder.lattice->cols());
+    ++tally.improvable;
+  } else if (ladder.proven_minimal && smaller_cells <= kMaxSatCells) {
+    lib.stamp_certified(key, complement, true);
+    ++tally.stamped;
+  } else {
+    ++tally.unproven;  // a budget ran out or the ladder stopped at 64 cells
   }
-  lib.stamp_certified(key, complement, true);
-  ++tally.stamped;
 }
 
 int cmd_verify(ftl::library::LatticeLibrary& lib, int argc, char** argv) {

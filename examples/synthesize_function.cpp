@@ -1,13 +1,14 @@
 // Synthesize an arbitrary Boolean expression onto a switching lattice from
-// the command line, optionally hunting for a smaller realization with the
-// search engines.
+// the command line, optionally hunting for the smallest realization with
+// the SAT shape ladder.
 //
 // Usage: synthesize_function ["expression"] [--search] [--sat RxC]
 //   expression  e.g. "a b' + c (a + b)"   (default: XOR3)
-//   --search    also try exhaustive/local search for smaller lattices
-//   --sat RxC   CEGAR SAT synthesis onto an RxC lattice (e.g. --sat 5x5),
-//               the engine for sizes the exhaustive odometer cannot touch
+//   --search    also search every smaller shape (up to 20 cells) for the
+//               smallest lattice, proving the shapes below it infeasible
+//   --sat RxC   CEGAR SAT synthesis onto an RxC lattice (e.g. --sat 5x5)
 //   --seed N    decision seed for the SAT search (default 1)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,31 +94,26 @@ int main(int argc, char** argv) {
   std::printf("verified: %s\n",
               lattice::realizes(lat, parsed.table) ? "yes" : "NO");
 
-  if (search && parsed.table.num_vars() <= 6) {
+  if (search && lat.cell_count() > 1) {
     std::printf("\nsearching for smaller lattices...\n");
-    const int baseline = lat.cell_count();
-    for (int cells = 1; cells < baseline; ++cells) {
-      for (int rows = 1; rows <= cells; ++rows) {
-        if (cells % rows != 0) continue;
-        const int cols = cells / rows;
-        std::optional<lattice::Lattice> found;
-        lattice::SearchOptions options;
-        if (cells <= 9) {
-          found = lattice::exhaustive_synthesis(parsed.table, rows, cols,
-                                                options, parsed.var_names);
-        } else if (cells <= 20) {
-          options.seed = 7;
-          found = lattice::local_search_synthesis(parsed.table, rows, cols,
-                                                  options, parsed.var_names);
-        }
-        if (found) {
-          std::printf("found %dx%d (%d switches):\n%s\n", rows, cols, cells,
-                      found->to_string().c_str());
-          return 0;
-        }
-      }
+    lattice::SatSynthesisOptions options;
+    options.seed = seed;
+    const int max_cells = std::min(lat.cell_count() - 1, 20);
+    const lattice::SmallestLatticeResult smaller = lattice::smallest_lattice(
+        parsed.table, max_cells, options, parsed.var_names);
+    if (smaller.lattice) {
+      const lattice::Lattice& found = *smaller.lattice;
+      std::printf("found %dx%d (%d switches, %s):\n%s\n", found.rows(),
+                  found.cols(), found.cell_count(),
+                  smaller.proven_minimal ? "proven minimal"
+                                         : "not proven minimal",
+                  found.to_string().c_str());
+    } else if (smaller.proven_minimal) {
+      std::printf("no lattice of %d or fewer switches realizes it.\n",
+                  max_cells);
+    } else {
+      std::printf("no smaller lattice found within the search budget.\n");
     }
-    std::printf("no smaller lattice found within the search budget.\n");
   }
   return 0;
 }

@@ -11,42 +11,6 @@
 #include "ftl/util/units.hpp"
 
 namespace ftl::designer {
-namespace {
-
-/// Smallest lattice (by cell count) realizing `target` below `max_cells`,
-/// using exhaustive search where affordable and hill climbing above that.
-std::optional<lattice::Lattice> search_smaller(
-    const logic::TruthTable& target, const std::vector<std::string>& names,
-    int max_cells, const DesignOptions& options) {
-  for (int cells = 1; cells < max_cells; ++cells) {
-    if (cells > options.max_search_cells) break;
-    for (int rows = 1; rows * rows <= cells; ++rows) {
-      if (cells % rows != 0) continue;
-      for (const int r : {rows, cells / rows}) {
-        const int c = cells / r;
-        lattice::SearchOptions search;
-        search.seed = options.search_seed;
-        search.max_threads = options.search_threads;
-        std::optional<lattice::Lattice> found;
-        if (cells <= 9) {
-          try {
-            found = lattice::exhaustive_synthesis(target, r, c, search, names);
-          } catch (const lattice::SearchBoundExceeded&) {
-            // Candidate-space budget tripped (possible only if the caller
-            // tightened it): degrade to hill climbing rather than fail.
-            found = lattice::local_search_synthesis(target, r, c, search, names);
-          }
-        } else {
-          found = lattice::local_search_synthesis(target, r, c, search, names);
-        }
-        if (found) return found;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::vector<CandidateDesign> explore_designs(const logic::TruthTable& target,
                                              std::vector<std::string> var_names,
@@ -72,14 +36,17 @@ std::vector<CandidateDesign> explore_designs(const logic::TruthTable& target,
   if (!var_names.empty()) var_names = baseline.var_names();
   measure_resistor(baseline, "altun-riedel");
 
-  // 2. Smaller lattices by search.
+  // 2. The smallest lattice below the baseline, by the SAT shape ladder.
   if (options.try_smaller_lattices) {
-    const auto smaller = search_smaller(target, baseline.var_names(),
-                                        baseline.cell_count(), options);
-    if (smaller) {
-      measure_resistor(*smaller,
-                       "search " + std::to_string(smaller->rows()) + "x" +
-                           std::to_string(smaller->cols()));
+    lattice::SatSynthesisOptions sat;
+    sat.seed = options.search_seed;
+    const lattice::SmallestLatticeResult smaller = lattice::smallest_lattice(
+        target, std::min(options.max_search_cells, baseline.cell_count() - 1),
+        sat, baseline.var_names());
+    if (smaller.lattice) {
+      const lattice::Lattice& lat = *smaller.lattice;
+      measure_resistor(lat, "search " + std::to_string(lat.rows()) + "x" +
+                                std::to_string(lat.cols()));
     }
   }
 

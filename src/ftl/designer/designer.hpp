@@ -4,9 +4,10 @@
 // energy specifications, the tool would come up with optimized solutions".
 //
 // Given a target function, the explorer generates candidate implementations
-// (the Altun-Riedel baseline, smaller lattices found by exhaustive/local
-// search, and the complementary two-lattice topology), characterizes each
-// with the gate-metrics engine, and scores them against user weights.
+// (the Altun-Riedel baseline, the smallest lattice the SAT shape ladder
+// finds below it, and the complementary two-lattice topology),
+// characterizes each with the gate-metrics engine, and scores them against
+// user weights.
 
 #include <functional>
 #include <optional>
@@ -43,12 +44,9 @@ struct DesignWeights {
 struct DesignOptions {
   bool try_smaller_lattices = true;   ///< hunt below the A-R baseline size
   bool include_complementary = true;  ///< add the §VI-A two-lattice design
-  int max_search_cells = 12;          ///< search budget ceiling
-  std::uint64_t search_seed = 1;
-  /// Thread cap for the sharded exhaustive search (0 = global pool). The
-  /// shards join lowest-index-wins, so the found lattice is independent of
-  /// the cap.
-  std::size_t search_threads = 0;
+  /// Largest cell count the search ladder tries (at most 64).
+  int max_search_cells = 12;
+  std::uint64_t search_seed = 1;  ///< SAT decision seed for the search
   bridge::MeasureOptions measure;
   /// External candidate source, called once with the target: each returned
   /// (method, lattice) pair joins the candidate set as a single-lattice

@@ -25,11 +25,13 @@ namespace ftl::lattice {
 /// proportional to the number of direction reversals of the longest path,
 /// not the cell count.
 ///
-/// `abort_zero_mask` enables the search engines' abort-on-first-mismatch:
+/// `abort_zero_mask` lets a candidate screen stop at the first mismatch:
 /// lanes the caller knows must evaluate to 0. Because R only grows, a bottom
 /// output bit, once set, stays set — so as soon as any masked lane lights
 /// up the candidate is refuted and the fixpoint returns early (the partial
-/// result still has the offending bit set). Pass 0 for an exact result.
+/// result still has the offending bit set). Pass 0 for an exact result;
+/// every evaluator in the library does, and the only nonzero caller is the
+/// test suite's odometer oracle (tests/odometer_oracle.hpp).
 ///
 /// `scratch` is reused storage for the reachability words (resized as
 /// needed); hot callers keep one buffer per thread to avoid reallocation.

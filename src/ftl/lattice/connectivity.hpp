@@ -17,8 +17,8 @@ bool top_bottom_connected(const std::vector<bool>& states, int rows, int cols);
 bool top_bottom_connected_bits(std::uint64_t pattern, int rows, int cols);
 
 /// Precomputed connectivity for every ON/OFF pattern of a small grid
-/// (rows*cols <= 20). Index = packed row-major pattern. Used by the
-/// exhaustive lattice search.
+/// (rows*cols <= 20). Index = packed row-major pattern. Backs
+/// realized_truth_table_lut.
 std::vector<bool> connectivity_lut(int rows, int cols);
 
 /// Memoized connectivity_lut: one table per (rows, cols) shape, built on

@@ -33,9 +33,10 @@ Lattice xor3_lattice_3x3() {
   const auto a = [](bool pos) { return CellValue::of(kA, pos); };
   const auto b = [](bool pos) { return CellValue::of(kB, pos); };
   const auto c = [](bool pos) { return CellValue::of(kC, pos); };
-  // Found by exhaustive_synthesis (no 3×3 mapping exists without a constant
-  // cell — the constant-1 here mirrors the constant visible in the paper's
-  // Fig. 3); re-verified against xor3_truth_table() in the test suite.
+  // The constant-1 cell is necessary: no literal-only 3×3 lattice realizes
+  // XOR3 (the test suite's complete search proves it), which mirrors the
+  // constant visible in the paper's Fig. 3. Re-verified against
+  // xor3_truth_table() in the test suite.
   return build(3, 3,
                {
                    a(true), b(false), a(false),        // row 0
@@ -48,7 +49,7 @@ Lattice xor3_lattice_3x4() {
   const auto a = [](bool pos) { return CellValue::of(kA, pos); };
   const auto b = [](bool pos) { return CellValue::of(kB, pos); };
   const auto c = [](bool pos) { return CellValue::of(kC, pos); };
-  // Found by local_search_synthesis; verified in the test suite.
+  // Verified against xor3_truth_table() in the test suite.
   return build(3, 4,
                {
                    c(true), b(true), a(false), c(false),

@@ -11,8 +11,13 @@
 //   - the conflict/round budget runs out (no verdict either way).
 // Termination without a budget: every round adds at least one minterm the
 // previous candidate got wrong, and there are only 2^num_vars of them.
+//
+// smallest_lattice walks synth_sat up the shapes in ascending cell count;
+// the first shape that yields a lattice answers the minimum-size question,
+// and the UNSAT verdicts below it are the proof.
 
 #include <bit>
+#include <utility>
 
 #include "ftl/lattice/bitslice.hpp"
 #include "ftl/lattice/function.hpp"
@@ -22,6 +27,18 @@
 #include "ftl/util/error.hpp"
 
 namespace ftl::lattice {
+namespace {
+
+/// All (rows, cols) shapes with exactly `cells` cells, rows ascending.
+std::vector<std::pair<int, int>> shapes_with_cells(int cells) {
+  std::vector<std::pair<int, int>> out;
+  for (int rows = 1; rows <= cells; ++rows) {
+    if (cells % rows == 0) out.emplace_back(rows, cells / rows);
+  }
+  return out;
+}
+
+}  // namespace
 
 SatSynthesisResult synth_sat(const logic::TruthTable& target, int rows,
                              int cols, const SatSynthesisOptions& options,
@@ -129,6 +146,36 @@ SatSynthesisResult synth_sat(const logic::TruthTable& target, int rows,
   }
 
   result.solver = solver.stats();
+  return result;
+}
+
+SmallestLatticeResult smallest_lattice(const logic::TruthTable& target,
+                                       int max_cells,
+                                       const SatSynthesisOptions& options,
+                                       std::vector<std::string> var_names) {
+  FTL_EXPECTS(max_cells <= 64);
+  SmallestLatticeResult result;
+  // Minimality is about cell count, so a shape that stays open only spoils
+  // the verdict for lattices of more cells than it has.
+  bool fewer_cells_proven = true;
+  for (int cells = 1; cells <= max_cells; ++cells) {
+    bool count_proven = true;
+    for (const auto& [rows, cols] : shapes_with_cells(cells)) {
+      SatSynthesisResult sat =
+          synth_sat(target, rows, cols, options, var_names);
+      count_proven = count_proven && sat.proven_infeasible &&
+                     (!options.certify || sat.proof_valid);
+      const bool found = sat.lattice.has_value();
+      if (found) result.lattice = sat.lattice;
+      result.attempts.push_back({rows, cols, std::move(sat)});
+      if (found) {
+        result.proven_minimal = fewer_cells_proven;
+        return result;
+      }
+    }
+    fewer_cells_proven = fewer_cells_proven && count_proven;
+  }
+  result.proven_minimal = fewer_cells_proven;
   return result;
 }
 

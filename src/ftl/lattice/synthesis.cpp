@@ -1,16 +1,11 @@
 #include "ftl/lattice/synthesis.hpp"
 
-#include <atomic>
-#include <bit>
-#include <optional>
 #include <random>
 #include <string>
 
-#include "ftl/lattice/bitslice.hpp"
 #include "ftl/lattice/function.hpp"
 #include "ftl/logic/isop.hpp"
 #include "ftl/util/error.hpp"
-#include "ftl/util/thread_pool.hpp"
 
 namespace ftl::lattice {
 
@@ -27,58 +22,6 @@ std::vector<CellValue> search_candidate_values(int num_vars,
   }
   return out;
 }
-
-SearchBoundExceeded::SearchBoundExceeded(double candidates, double budget)
-    : ftl::Error("exhaustive_synthesis: candidate space " +
-                 std::to_string(candidates) + " exceeds budget " +
-                 std::to_string(budget) +
-                 " (raise SearchOptions::max_candidates or use synth_sat)"),
-      candidates_(candidates),
-      budget_(budget) {}
-
-namespace {
-
-/// Per-choice truth vector: bit m = value of the choice under assignment m.
-std::uint64_t choice_bits(const CellValue& value, std::uint64_t num_minterms) {
-  std::uint64_t bits = 0;
-  for (std::uint64_t m = 0; m < num_minterms; ++m) {
-    if (value.evaluate(m)) bits |= std::uint64_t{1} << m;
-  }
-  return bits;
-}
-
-Lattice materialize(const logic::TruthTable& target, int rows, int cols,
-                    const std::vector<CellValue>& choices,
-                    const std::vector<int>& pick,
-                    std::vector<std::string> var_names) {
-  Lattice lat(rows, cols, target.num_vars(), std::move(var_names));
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      lat.set(r, c, choices[static_cast<std::size_t>(pick[static_cast<std::size_t>(r * cols + c)])]);
-    }
-  }
-  return lat;
-}
-
-/// Output lanes of one candidate: cell i's lane word is the truth vector of
-/// its picked value (bit m = value under assignment m — with num_vars <= 6
-/// that is exactly the bitslice lane layout), so one connectivity fixpoint
-/// scores all 2^num_vars assignments at once. `abort_zero_mask` lanes (where
-/// the target is 0) cut the fixpoint short on the first mismatch.
-std::uint64_t candidate_lanes(const std::vector<std::uint64_t>& bits,
-                              const std::vector<int>& pick, int rows, int cols,
-                              std::uint64_t abort_zero_mask,
-                              std::vector<std::uint64_t>& states,
-                              std::vector<std::uint64_t>& scratch) {
-  const std::size_t cells = pick.size();
-  states.resize(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    states[i] = bits[static_cast<std::size_t>(pick[i])];
-  }
-  return connected_lanes(states.data(), rows, cols, abort_zero_mask, scratch);
-}
-
-}  // namespace
 
 Lattice altun_riedel_synthesis(const logic::TruthTable& target,
                                std::vector<std::string> var_names) {
@@ -157,200 +100,6 @@ Lattice altun_riedel_synthesis(logic::BddManager& manager,
     }
   }
   return lat;
-}
-
-std::optional<Lattice> exhaustive_synthesis(const logic::TruthTable& target,
-                                            int rows, int cols,
-                                            const SearchOptions& options,
-                                            std::vector<std::string> var_names) {
-  FTL_EXPECTS(rows >= 1 && cols >= 1 && rows * cols <= 20);
-  FTL_EXPECTS(target.num_vars() <= 6);
-  const int cells = rows * cols;
-  const std::uint64_t num_minterms = target.num_minterms();
-
-  const std::vector<CellValue> choices =
-      search_candidate_values(target.num_vars(), options.allow_constants);
-  const int nc = static_cast<int>(choices.size());
-  double candidate_space = 1.0;
-  for (int i = 0; i < cells; ++i) candidate_space *= nc;
-  if (candidate_space > options.max_candidates) {
-    throw SearchBoundExceeded(candidate_space, options.max_candidates);
-  }
-  std::vector<std::uint64_t> bits(choices.size());
-  for (std::size_t i = 0; i < choices.size(); ++i) {
-    bits[i] = choice_bits(choices[i], num_minterms);
-  }
-
-  const std::uint64_t lane_mask =
-      num_minterms >= 64 ? ~std::uint64_t{0}
-                         : (std::uint64_t{1} << num_minterms) - 1;
-  const std::uint64_t target_bits = target.word(0);
-  const std::uint64_t zero_mask = ~target_bits & lane_mask;
-
-  // Reflection twins: flipping the rows (top-bottom), the columns
-  // (left-right), or both maps any top-to-bottom path onto a top-to-bottom
-  // path of the reflected lattice, so a candidate and its reflections all
-  // realize the same function. Each map sends cell index i to the index its
-  // value came from; degenerate maps (identity when rows==1 / cols==1) are
-  // dropped. Transposition is NOT a twin — it swaps the path direction and
-  // generally changes the function.
-  std::vector<std::vector<int>> twins;
-  if (options.symmetry_skip) {
-    const auto add_twin = [&](bool flip_rows, bool flip_cols) {
-      std::vector<int> map(static_cast<std::size_t>(cells));
-      for (int r = 0; r < rows; ++r) {
-        for (int c = 0; c < cols; ++c) {
-          const int rr = flip_rows ? rows - 1 - r : r;
-          const int cc = flip_cols ? cols - 1 - c : c;
-          map[static_cast<std::size_t>(r * cols + c)] = rr * cols + cc;
-        }
-      }
-      twins.push_back(std::move(map));
-    };
-    if (rows > 1) add_twin(true, false);
-    if (cols > 1) add_twin(false, true);
-    if (rows > 1 && cols > 1) add_twin(true, true);
-  }
-  // A candidate whose twin precedes it in the serial visit order (compare
-  // digits slowest-first, i.e. d = cells-1 downto 0) can be skipped: the
-  // twin realizes the same function and was (or will be, in a lower shard)
-  // visited first, so the serial-first find — which by definition has no
-  // earlier twin — is never skipped and parity with the unskipped search
-  // holds exactly.
-  const auto twin_precedes = [&](const std::vector<int>& pick) {
-    for (const auto& map : twins) {
-      for (int d = cells - 1; d >= 0; --d) {
-        const int tv = pick[static_cast<std::size_t>(
-            map[static_cast<std::size_t>(d)])];
-        const int sv = pick[static_cast<std::size_t>(d)];
-        if (tv != sv) {
-          if (tv < sv) return true;
-          break;  // this twin comes later; try the next one
-        }
-      }
-    }
-    return false;
-  };
-
-  // The serial odometer steps pick[0] fastest and pick[cells-1] slowest, so
-  // fixing the slowest digit partitions the space into `nc` shards that
-  // cover the serial order in shard-index order. Each shard records its own
-  // first find; taking the lowest-index shard's find reproduces the serial
-  // result exactly. `best` lets shards that can no longer win stop early.
-  const int shards = nc;
-  std::vector<std::optional<std::vector<int>>> found(
-      static_cast<std::size_t>(shards));
-  std::atomic<int> best{shards};
-  util::parallel_for(
-      static_cast<std::size_t>(shards),
-      [&](std::size_t shard) {
-        if (best.load(std::memory_order_relaxed) < static_cast<int>(shard)) {
-          return;
-        }
-        std::vector<int> pick(static_cast<std::size_t>(cells), 0);
-        pick[static_cast<std::size_t>(cells - 1)] = static_cast<int>(shard);
-        std::vector<std::uint64_t> states, scratch;
-        std::uint64_t steps = 0;
-        for (;;) {
-          if ((++steps & 1023) == 0 &&
-              best.load(std::memory_order_relaxed) < static_cast<int>(shard)) {
-            return;
-          }
-          if (!twin_precedes(pick)) {
-            const std::uint64_t lanes = candidate_lanes(
-                bits, pick, rows, cols, zero_mask, states, scratch);
-            if ((lanes & lane_mask) == target_bits) {
-              found[shard] = pick;
-              int cur = best.load();
-              while (static_cast<int>(shard) < cur &&
-                     !best.compare_exchange_weak(cur, static_cast<int>(shard))) {
-              }
-              return;
-            }
-          }
-          // Odometer over the shard's digits (all but the fixed slowest).
-          int i = 0;
-          while (i < cells - 1) {
-            if (++pick[static_cast<std::size_t>(i)] < nc) break;
-            pick[static_cast<std::size_t>(i)] = 0;
-            ++i;
-          }
-          if (i == cells - 1) return;  // shard exhausted
-        }
-      },
-      options.max_threads);
-  for (std::size_t shard = 0; shard < found.size(); ++shard) {
-    if (!found[shard]) continue;
-    Lattice lat =
-        materialize(target, rows, cols, choices, *found[shard], std::move(var_names));
-    // Cross-check the bitsliced kernel's verdict against the independent
-    // memoized-LUT engine before handing the lattice out.
-    FTL_ENSURES(realized_truth_table_lut(lat) == target);
-    return lat;
-  }
-  return std::nullopt;
-}
-
-std::optional<Lattice> local_search_synthesis(const logic::TruthTable& target,
-                                              int rows, int cols,
-                                              const SearchOptions& options,
-                                              std::vector<std::string> var_names) {
-  FTL_EXPECTS(rows >= 1 && cols >= 1 && rows * cols <= 20);
-  FTL_EXPECTS(target.num_vars() <= 6);
-  const int cells = rows * cols;
-  const std::uint64_t num_minterms = target.num_minterms();
-
-  const std::vector<CellValue> choices =
-      search_candidate_values(target.num_vars(), options.allow_constants);
-  const int nc = static_cast<int>(choices.size());
-  std::vector<std::uint64_t> bits(choices.size());
-  for (std::size_t i = 0; i < choices.size(); ++i) {
-    bits[i] = choice_bits(choices[i], num_minterms);
-  }
-  const std::uint64_t lane_mask =
-      num_minterms >= 64 ? ~std::uint64_t{0}
-                         : (std::uint64_t{1} << num_minterms) - 1;
-  const std::uint64_t target_bits = target.word(0);
-
-  std::mt19937_64 rng(options.seed);
-  std::uniform_int_distribution<int> cell_dist(0, cells - 1);
-  std::uniform_int_distribution<int> choice_dist(0, nc - 1);
-
-  std::vector<std::uint64_t> states, scratch;
-  const auto cost = [&](const std::vector<int>& pick) {
-    // Hill climbing needs the exact mismatch count, so no abort mask here:
-    // the fixpoint runs to completion and the XOR popcount is the cost.
-    const std::uint64_t lanes =
-        candidate_lanes(bits, pick, rows, cols, 0, states, scratch);
-    return std::popcount((lanes & lane_mask) ^ target_bits);
-  };
-
-  for (int restart = 0; restart < options.max_restarts; ++restart) {
-    std::vector<int> pick(static_cast<std::size_t>(cells));
-    for (int& p : pick) p = choice_dist(rng);
-    int current = cost(pick);
-    for (int iter = 0; iter < options.max_iterations && current > 0; ++iter) {
-      const int cell = cell_dist(rng);
-      const int old_choice = pick[static_cast<std::size_t>(cell)];
-      const int new_choice = choice_dist(rng);
-      if (new_choice == old_choice) continue;
-      pick[static_cast<std::size_t>(cell)] = new_choice;
-      const int next = cost(pick);
-      if (next <= current) {
-        current = next;  // greedy with sideways moves to escape plateaus
-      } else {
-        pick[static_cast<std::size_t>(cell)] = old_choice;
-      }
-    }
-    if (current == 0) {
-      Lattice lat =
-          materialize(target, rows, cols, choices, pick, std::move(var_names));
-      // Same independent cross-check as the exhaustive engine.
-      FTL_ENSURES(realized_truth_table_lut(lat) == target);
-      return lat;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace ftl::lattice

@@ -2,27 +2,25 @@
 // Lattice synthesis: mapping a target Boolean function onto the control
 // inputs of an m×n switching lattice (§II, Fig. 3).
 //
-// Three engines, in increasing cost:
+// Two engines and the ladder over them:
 //  - altun_riedel_synthesis: the dual-based construction of [Altun & Riedel,
 //    IEEE TC 2012] (ref [9] of the paper). Produces a |ISOP(f^D)| ×
 //    |ISOP(f)| lattice; fast, never fails, rarely minimal.
-//  - exhaustive_synthesis: complete search over all cell assignments of a
-//    fixed rows×cols lattice. Proves (non-)existence for tiny lattices; this
-//    is how the paper's "3×3 is the minimum size for XOR3" claim is checked.
-//  - local_search_synthesis: randomized hill climbing with restarts, for
-//    sizes where exhaustive search is too expensive but a mapping is
-//    believed to exist (e.g. the paper's 3×4 XOR3).
-//  - synth_sat: CDCL + CEGAR (lattice/sat_synthesis.cpp) for the sizes the
-//    odometer cannot touch — 5×5+ lattices, 7+ variable targets.
+//  - synth_sat: CDCL + CEGAR (lattice/sat_synthesis.cpp) on one fixed
+//    rows×cols shape. Finds a realization or proves none exists (with a
+//    DRAT-checked proof under certify), within a conflict budget.
+//  - smallest_lattice: synth_sat on every shape in ascending cell count —
+//    the exact minimum-size question behind the paper's "3×3 is the
+//    minimum size for XOR3".
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "ftl/lattice/lattice.hpp"
 #include "ftl/logic/bdd.hpp"
 #include "ftl/logic/truth_table.hpp"
 #include "ftl/sat/solver.hpp"
-#include "ftl/util/error.hpp"
 
 namespace ftl::lattice {
 
@@ -39,76 +37,12 @@ Lattice altun_riedel_synthesis(logic::BddManager& manager,
                                logic::BddRef target,
                                std::vector<std::string> var_names = {});
 
-/// Candidate cell values in the order shared by every search engine: for
-/// each variable v its positive then negative literal (indices 2v, 2v+1),
-/// then constant-1 and constant-0 when allowed. sat::LatticeSynthesisCnf
-/// mirrors these indices, which is what lets a decoded SAT model feed
-/// straight into a Lattice and lets tests compare engines cell by cell.
+/// Candidate cell values in a fixed order: for each variable v its positive
+/// then negative literal (indices 2v, 2v+1), then constant-1 and constant-0
+/// when allowed. sat::LatticeSynthesisCnf mirrors these indices, which is
+/// what lets a decoded SAT model feed straight into a Lattice.
 std::vector<CellValue> search_candidate_values(int num_vars,
                                                bool allow_constants);
-
-/// Thrown by exhaustive_synthesis when the candidate space
-/// (num_choices ^ cells) exceeds SearchOptions::max_candidates — a typed
-/// refusal instead of a silent multi-day grind. Sizes are doubles because
-/// the spaces in question overflow 64 bits long before they get tractable.
-class SearchBoundExceeded : public ftl::Error {
- public:
-  SearchBoundExceeded(double candidates, double budget);
-  double candidates() const { return candidates_; }
-  double budget() const { return budget_; }
-
- private:
-  double candidates_ = 0;
-  double budget_ = 0;
-};
-
-struct SearchOptions {
-  bool allow_constants = true;  ///< permit constant-0/1 cells
-  /// Decision seed: drives the local-search RNG and is echoed by callers
-  /// into results/logs so a reported lattice names the run that found it.
-  std::uint64_t seed = 1;
-  int max_restarts = 200;       ///< local search restarts
-  int max_iterations = 20000;   ///< moves per restart
-  /// Thread cap for the sharded exhaustive search (0 = global pool,
-  /// 1 = serial). The result is identical either way — shards join with
-  /// lowest-index-wins, which reproduces the serial visit order.
-  std::size_t max_threads = 0;
-  /// Candidate-space budget for exhaustive_synthesis: when
-  /// num_choices ^ cells exceeds this, SearchBoundExceeded is thrown.
-  /// The default admits every historical call site (largest: 14^9 ≈ 2e10)
-  /// with headroom, while refusing 5×5 grids (14^25 ≈ 4e28) instantly.
-  double max_candidates = 4e12;
-  /// Exhaustive search only: skip candidates that are a row-reflection,
-  /// column-reflection, or 180° rotation of an earlier candidate. The
-  /// reflections preserve top-to-bottom connectivity, hence the realized
-  /// function, so the earlier twin already covered the candidate — the
-  /// first lattice found is bit-identical with the flag on or off, the
-  /// fixpoint just runs on up to ~4x fewer candidates.
-  bool symmetry_skip = true;
-};
-
-/// Complete enumeration over all assignments of a rows×cols lattice.
-/// Returns the first realization found, or nullopt when none exists.
-/// Requires rows*cols <= 20 and target.num_vars() <= 6; intended for the
-/// small sizes where the search space (2*vars+2)^(rows*cols) is tractable.
-///
-/// Candidates are scored through the bitsliced connectivity kernel (all
-/// 2^num_vars assignments in one fixpoint, aborting as soon as a
-/// known-zero lane lights up), and the candidate space is sharded over
-/// util::parallel_for by the slowest odometer digit. The first find of the
-/// lowest-index shard is exactly the serial first find, so parallel and
-/// serial runs return the same lattice.
-std::optional<Lattice> exhaustive_synthesis(const logic::TruthTable& target,
-                                            int rows, int cols,
-                                            const SearchOptions& options = {},
-                                            std::vector<std::string> var_names = {});
-
-/// Randomized hill climbing with restarts. Returns a realization or nullopt
-/// when the budget is exhausted (which does not prove non-existence).
-std::optional<Lattice> local_search_synthesis(const logic::TruthTable& target,
-                                              int rows, int cols,
-                                              const SearchOptions& options = {},
-                                              std::vector<std::string> var_names = {});
 
 struct SatSynthesisOptions {
   bool allow_constants = true;  ///< permit constant-0/1 cells
@@ -125,8 +59,7 @@ struct SatSynthesisOptions {
   /// means fewer rounds but larger formulas; 4 is a good middle.
   int counterexamples_per_round = 4;
   /// Lex-leader symmetry breaking over the lattice's row/column reflection
-  /// automorphisms, inside the CNF (the selector-layer analogue of
-  /// SearchOptions::symmetry_skip; see
+  /// automorphisms, inside the CNF (see
   /// LatticeSynthesisCnf::add_symmetry_breaking). Sound for any target —
   /// reflections preserve the realized function — and on by default.
   bool symmetry_break = true;
@@ -165,10 +98,41 @@ struct SatSynthesisResult {
 /// realizes(target), UNSAT proves infeasibility, or the budget runs out.
 /// Deterministic for fixed (target, rows, cols, options).
 ///
-/// Requires num_vars in [1, 26] and rows*cols <= 64 — this is the engine
-/// for the sizes exhaustive_synthesis refuses (5×5 grids, 7+ variables).
+/// Requires num_vars in [1, 26] and rows*cols <= 64.
 SatSynthesisResult synth_sat(const logic::TruthTable& target, int rows,
                              int cols, const SatSynthesisOptions& options = {},
                              std::vector<std::string> var_names = {});
+
+/// One rung of the smallest_lattice ladder: a shape and synth_sat's full
+/// report on it.
+struct ShapeAttempt {
+  int rows = 0;
+  int cols = 0;
+  SatSynthesisResult sat;
+};
+
+struct SmallestLatticeResult {
+  /// The first lattice synth_sat found along the ladder; nullopt when no
+  /// shape of at most max_cells cells yielded one.
+  std::optional<Lattice> lattice;
+  /// True when every shape with fewer cells than `lattice` — or, when none
+  /// was found, every shape up to max_cells — was proven infeasible, each
+  /// by a checker-accepted proof when certify is set. A shape whose
+  /// conflict budget ran out is skipped and leaves this false.
+  bool proven_minimal = false;
+  std::vector<ShapeAttempt> attempts;  ///< every shape tried, ladder order
+};
+
+/// Exact minimum-size synthesis: synth_sat on every rows×cols shape of
+/// 1..max_cells cells, in ascending cell count and rows ascending within a
+/// count, stopping at the first lattice found. Both orientations are tried
+/// — top-bottom connectivity is not transpose-symmetric, so a 2×3 answer
+/// says nothing about 3×2. `options` applies to every shape (its conflict
+/// budget is per shape). Requires max_cells <= 64; max_cells <= 0 walks no
+/// shape.
+SmallestLatticeResult smallest_lattice(const logic::TruthTable& target,
+                                       int max_cells,
+                                       const SatSynthesisOptions& options = {},
+                                       std::vector<std::string> var_names = {});
 
 }  // namespace ftl::lattice

@@ -25,9 +25,8 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// CEGAR-SAT minimization ladder for one phase slot: try every shape with
-/// fewer cells than the incumbent, smallest first, and keep the first
-/// realization found (ascending order makes it the ladder's best).
+/// CEGAR-SAT minimization for one phase slot: the smallest lattice with
+/// fewer cells than the incumbent, if the shape ladder finds one.
 void minimize_slot(LatticeLibrary& lib, std::uint64_t key,
                    const logic::TruthTable& canonical, bool phase,
                    const logic::TruthTable& want,
@@ -35,44 +34,27 @@ void minimize_slot(LatticeLibrary& lib, std::uint64_t key,
                    std::atomic<std::size_t>& improved) {
   const std::optional<LibraryEntry> current = lib.find(key, phase);
   if (!current) return;
-  const int limit =
-      std::min(options.sat_max_cells, current->lattice.cell_count() - 1);
-  for (int cells = 1; cells <= limit; ++cells) {
-    bool done = false;
-    for (const auto& [rows, cols] : shapes_with_cells(cells)) {
-      lattice::SatSynthesisOptions sat;
-      sat.seed = options.seed;
-      sat.max_conflicts = options.sat_conflicts_per_shape;
-      const auto start = std::chrono::steady_clock::now();
-      const lattice::SatSynthesisResult result =
-          lattice::synth_sat(want, rows, cols, sat);
-      if (!result.lattice) continue;
-      LibraryEntry entry;
-      entry.lattice = *result.lattice;
-      entry.engine = "sat";
-      entry.seed = options.seed;
-      entry.cost_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-      if (lib.insert(key, canonical, phase, std::move(entry))) {
-        improved.fetch_add(1, std::memory_order_relaxed);
-      }
-      done = true;
-      break;
-    }
-    if (done) break;
+  lattice::SatSynthesisOptions sat;
+  sat.seed = options.seed;
+  sat.max_conflicts = options.sat_conflicts_per_shape;
+  const auto start = std::chrono::steady_clock::now();
+  const lattice::SmallestLatticeResult result = lattice::smallest_lattice(
+      want, std::min(options.sat_max_cells, current->lattice.cell_count() - 1),
+      sat);
+  if (!result.lattice) return;
+  LibraryEntry entry;
+  entry.lattice = *result.lattice;
+  entry.engine = "sat";
+  entry.seed = options.seed;
+  entry.cost_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  if (lib.insert(key, canonical, phase, std::move(entry))) {
+    improved.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 }  // namespace
-
-std::vector<std::pair<int, int>> shapes_with_cells(int cells) {
-  std::vector<std::pair<int, int>> out;
-  for (int rows = 1; rows <= cells; ++rows) {
-    if (cells % rows == 0) out.emplace_back(rows, cells / rows);
-  }
-  return out;
-}
 
 std::vector<logic::TruthTable> npn_class_representatives(int num_vars) {
   FTL_EXPECTS(num_vars >= 0 && num_vars <= 4);

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "ftl/library/store.hpp"
@@ -33,17 +32,10 @@ std::vector<logic::TruthTable> npn_class_representatives(int num_vars);
 std::vector<logic::TruthTable> curated_targets(std::uint64_t seed,
                                                int randoms_per_size = 8);
 
-/// All (rows, cols) shapes with exactly `cells` cells, rows ascending. Both
-/// orientations are distinct candidates — top-bottom connectivity is not
-/// transpose-symmetric, so a 2×3 answer says nothing about 3×2. Shared by
-/// the precompute minimization ladder and the CLI's --certify minimality
-/// audit, which must walk the identical ladder to certify its result.
-std::vector<std::pair<int, int>> shapes_with_cells(int cells);
-
 struct PrecomputeOptions {
   enum class Effort {
     kBaseline,  ///< altun_riedel per phase: fast, always succeeds
-    kSat,       ///< baseline + CEGAR-SAT minimization ladder per slot
+    kSat,       ///< baseline + lattice::smallest_lattice per slot
   };
 
   Effort effort = Effort::kBaseline;
@@ -52,8 +44,7 @@ struct PrecomputeOptions {
   std::uint64_t seed = 1;     ///< drives curated randoms and SAT decisions
   std::size_t max_threads = 0;  ///< parallel_for cap (0 = global pool)
   /// SAT-effort knobs: per-shape conflict budget and the largest cell count
-  /// the minimization ladder will attempt (shapes are tried in ascending
-  /// cell count, so the first success is the best the ladder can do).
+  /// the minimization ladder (lattice::smallest_lattice) will attempt.
   std::int64_t sat_conflicts_per_shape = 200'000;
   int sat_max_cells = 9;
 };

@@ -33,7 +33,7 @@ namespace ftl::library {
 /// provenance needed to audit or reproduce it.
 struct LibraryEntry {
   lattice::Lattice lattice;
-  std::string engine;     ///< "altun", "exhaustive", "search", "sat", ...
+  std::string engine;     ///< "altun", "sat", ...
   std::uint64_t seed = 0;
   double cost_ms = 0;     ///< wall-clock cost of the search that found it
   /// Stamped by `ftl_lattice_lib verify --certify`: the entry passed a

@@ -76,25 +76,9 @@ SynthesisResult synthesize(const logic::TruthTable& target,
   std::optional<lattice::Lattice> found;
   std::uint64_t seed = 0;
   switch (request.engine) {
-    case SynthesisRequest::Engine::kAuto:
     case SynthesisRequest::Engine::kAltun:
       found = lattice::altun_riedel_synthesis(target, request.var_names);
       out.engine = "altun";
-      break;
-    case SynthesisRequest::Engine::kExhaustive:
-      FTL_EXPECTS(request.rows > 0 && request.cols > 0);
-      found = lattice::exhaustive_synthesis(target, request.rows, request.cols,
-                                            request.search, request.var_names);
-      out.engine = "exhaustive";
-      seed = request.search.seed;
-      break;
-    case SynthesisRequest::Engine::kLocalSearch:
-      FTL_EXPECTS(request.rows > 0 && request.cols > 0);
-      found = lattice::local_search_synthesis(
-          target, request.rows, request.cols, request.search,
-          request.var_names);
-      out.engine = "search";
-      seed = request.search.seed;
       break;
     case SynthesisRequest::Engine::kSat: {
       FTL_EXPECTS(request.rows > 0 && request.cols > 0);

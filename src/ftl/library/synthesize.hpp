@@ -24,24 +24,20 @@ namespace ftl::library {
 
 struct SynthesisRequest {
   enum class Engine {
-    kAuto,         ///< library, then altun_riedel_synthesis (never fails)
-    kAltun,        ///< library, then dual-based construction
-    kExhaustive,   ///< library (dims permitting), then complete search
-    kLocalSearch,  ///< library (dims permitting), then hill climbing
-    kSat,          ///< library (dims permitting), then CEGAR SAT
+    kAltun,  ///< library, then altun_riedel_synthesis (never fails)
+    kSat,    ///< library (dims permitting), then CEGAR SAT
   };
 
-  Engine engine = Engine::kAuto;
+  Engine engine = Engine::kAltun;
 
-  /// Target dimensions. Required (> 0) for the fixed-shape engines
-  /// (exhaustive / local search / SAT); optional for auto/altun. When set,
-  /// a library hit must fit inside rows×cols and is padded (constant-0
-  /// columns, then constant-1 rows — function-preserving) to exactly that
-  /// shape, so callers see the dimensions they asked for.
+  /// Target dimensions. Required (> 0) for the fixed-shape SAT engine;
+  /// optional for altun. When set, a library hit must fit inside rows×cols
+  /// and is padded (constant-0 columns, then constant-1 rows —
+  /// function-preserving) to exactly that shape, so callers see the
+  /// dimensions they asked for.
   int rows = 0;
   int cols = 0;
 
-  lattice::SearchOptions search;     ///< exhaustive / local-search knobs
   lattice::SatSynthesisOptions sat;  ///< SAT engine knobs
 
   bool use_library = true;  ///< consult the library before any engine
@@ -54,8 +50,8 @@ struct SynthesisResult {
   lattice::Lattice lattice;  ///< valid iff `found`
   bool found = false;
   bool from_library = false;  ///< answered by relabeling a stored lattice
-  /// What produced the lattice: "library", "altun", "exhaustive",
-  /// "search" or "sat" (the engine that *ran* when not from the library).
+  /// What produced the lattice: "library", "altun" or "sat" (the engine
+  /// that *ran* when not from the library).
   std::string engine;
   std::uint64_t npn_key = 0;  ///< class key (0 when the library was skipped)
   bool populated = false;     ///< engine result was kept by the library
@@ -66,8 +62,7 @@ struct SynthesisResult {
 };
 
 /// Lookup-first synthesis. `lib` may be null (pure engine dispatch); the
-/// library is only consulted for targets of <= 6 variables. Propagates
-/// lattice::SearchBoundExceeded from the exhaustive engine.
+/// library is only consulted for targets of <= 6 variables.
 SynthesisResult synthesize(const logic::TruthTable& target,
                            const SynthesisRequest& request = {},
                            LatticeLibrary* lib = nullptr);

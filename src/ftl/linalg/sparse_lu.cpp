@@ -393,21 +393,4 @@ void SparseLuBatch::solve_lane(std::size_t lane, const Vector& b,
                      lane_d_.data() + lane * shared_.n_, b, x);
 }
 
-void SparseLuBatch::refactor_batch(const std::vector<CsrView>& matrices,
-                                   const Options& options) {
-  FTL_EXPECTS(matrices.size() == lanes_);
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
-    factor_lane(lane, matrices[lane], options);
-  }
-}
-
-void SparseLuBatch::solve_batch(const std::vector<Vector>& rhs,
-                                std::vector<Vector>& x) const {
-  FTL_EXPECTS(rhs.size() == lanes_);
-  x.resize(lanes_);
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
-    solve_lane(lane, rhs[lane], x[lane]);
-  }
-}
-
 }  // namespace ftl::linalg

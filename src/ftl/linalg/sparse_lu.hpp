@@ -172,12 +172,6 @@ class SparseLuBatch {
   /// Solves A x = b with lane `lane`'s current factors.
   void solve_lane(std::size_t lane, const Vector& b, Vector& x) const;
 
-  /// Batch wrappers: lane i takes matrices[i] / rhs[i], in lane order.
-  void refactor_batch(const std::vector<CsrView>& matrices,
-                      const Options& options = SparseLuOptions());
-  void solve_batch(const std::vector<Vector>& rhs,
-                   std::vector<Vector>& x) const;
-
   const SparseLuBatchCounters& counters() const { return counters_; }
 
  private:

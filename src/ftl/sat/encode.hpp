@@ -59,12 +59,11 @@ void encode_path_absent(Solver& solver, int rows, int cols,
 /// Selector encoding of "choose each cell's value so the lattice realizes
 /// the target on a set of care minterms".
 ///
-/// Choice indices mirror the candidate ordering of the exhaustive engine
-/// (lattice/synthesis.cpp candidate_values): choice 2v = variable v positive
-/// literal, 2v+1 = variable v negative literal, then (with constants) index
-/// 2*num_vars = constant-1 and 2*num_vars+1 = constant-0. Keeping the two
-/// engines' orderings identical is what lets tests compare them cell by
-/// cell and lets decoded models feed materialization directly.
+/// Choice indices mirror lattice::search_candidate_values: choice 2v =
+/// variable v positive literal, 2v+1 = variable v negative literal, then
+/// (with constants) index 2*num_vars = constant-1 and 2*num_vars+1 =
+/// constant-0. Keeping the two orderings identical is what lets decoded
+/// models feed materialization directly.
 class LatticeSynthesisCnf {
  public:
   /// Creates one selector variable per (cell, choice) with exactly-one
@@ -90,8 +89,7 @@ class LatticeSynthesisCnf {
   void add_care_minterm(std::uint64_t assignment, bool target_value);
 
   /// Lex-leader symmetry breaking over the lattice's reflection
-  /// automorphisms (row flip, column flip — ROADMAP's CNF-level analogue of
-  /// the exhaustive engine's SearchOptions::symmetry_skip). Top-bottom
+  /// automorphisms (row flip, column flip). Top-bottom
   /// connectivity is invariant under both reflections for every cell
   /// assignment, so each symmetry maps solutions to solutions for any
   /// target and constraining the selector vector to be lexicographically

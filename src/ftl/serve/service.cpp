@@ -102,6 +102,17 @@ int require_int(const JsonValue& req, std::string_view key, int min_value,
   return static_cast<int>(raw);
 }
 
+/// The optional "seed" field, default 1: an integer in [0, 2^53], the
+/// range where a JSON number holds every integer exactly. Anything else
+/// would be truncated, or overflow the cast to uint64_t.
+std::uint64_t seed_from(const JsonValue& req) {
+  const double raw = req.number_or("seed", 1.0);
+  if (raw != std::floor(raw) || raw < 0.0 || raw > 9007199254740992.0) {
+    throw Error("field 'seed' must be an integer in [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(raw);
+}
+
 std::vector<std::string> string_array_or(const JsonValue& req,
                                          std::string_view key) {
   const JsonValue* v = req.find(key);
@@ -260,49 +271,21 @@ JsonValue handle_synth(const JsonValue& req, const Deadline& deadline,
   const logic::ParsedFunction parsed = logic::parse_expression(
       require_string(req, "expr"), string_array_or(req, "vars"));
   const std::string method = req.string_or("method", "auto");
+  if (method != "auto" && method != "altun") {
+    throw Error("unknown method '" + method +
+                "' (expected auto or altun; the synth_sat op searches a "
+                "fixed rows x cols shape)");
+  }
   deadline.check("synthesis");
 
-  using Engine = library::SynthesisRequest::Engine;
   library::SynthesisRequest synth_req;
   synth_req.var_names = parsed.var_names;
-  std::optional<std::uint64_t> seed;
-  if (method == "auto") {
-    synth_req.engine = Engine::kAuto;
-  } else if (method == "altun") {
-    synth_req.engine = Engine::kAltun;
-  } else if (method == "exhaustive" || method == "search") {
-    synth_req.engine =
-        method == "exhaustive" ? Engine::kExhaustive : Engine::kLocalSearch;
-    synth_req.rows = require_int(req, "rows", 1, 8);
-    synth_req.cols = require_int(req, "cols", 1, 8);
-    synth_req.search.seed =
-        static_cast<std::uint64_t>(req.number_or("seed", 1.0));
-    seed = synth_req.search.seed;
-  } else {
-    throw Error("unknown method '" + method +
-                "' (expected auto, altun, exhaustive, or search)");
-  }
-
-  library::SynthesisResult result;
-  try {
-    result = library::synthesize(parsed.table, synth_req, lib);
-  } catch (const lattice::SearchBoundExceeded& e) {
-    // Typed refusal, not a generic bad_request: clients can read the
-    // numbers and retarget to the synth_sat op mechanically.
-    JsonValue body = body_for("synth", false);
-    body.set("error", JsonValue::str("bound_exceeded"));
-    body.set("message", JsonValue::str(e.what()));
-    body.set("candidates", JsonValue::number(e.candidates()));
-    body.set("budget", JsonValue::number(e.budget()));
-    return body;
-  }
+  const library::SynthesisResult result =
+      library::synthesize(parsed.table, synth_req, lib);
   deadline.check("serialization");
 
   JsonValue body = body_for("synth");
   body.set("method", JsonValue::str(method));
-  if (seed) {
-    body.set("seed", JsonValue::number(static_cast<double>(*seed)));
-  }
   body.set("found", JsonValue::boolean(result.found));
   set_library_fields(body, result);
   if (result.found) {
@@ -330,7 +313,7 @@ JsonValue handle_synth_sat(const JsonValue& req, const Deadline& deadline,
   synth_req.rows = require_int(req, "rows", 1, 8);
   synth_req.cols = require_int(req, "cols", 1, 8);
   synth_req.var_names = parsed.var_names;
-  synth_req.sat.seed = static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+  synth_req.sat.seed = seed_from(req);
   synth_req.sat.allow_constants = req.bool_or("constants", true);
   const double budget = req.number_or("max_conflicts", 2e6);
   if (!(budget >= 0.0) || budget > 9e18) {
@@ -507,7 +490,7 @@ JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
       options.sigma_vth > 10.0 || options.sigma_kp_rel > 10.0) {
     throw Error("'sigma_vth'/'sigma_kp_rel' must be in [0, 10]");
   }
-  options.seed = static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+  options.seed = seed_from(req);
   options.max_threads = req.find("workers") != nullptr
                             ? require_int(req, "workers", 0, 4096)
                             : 0;
@@ -555,7 +538,7 @@ JsonValue handle_explore(const JsonValue& req, const Deadline& deadline,
   options.max_search_cells = req.find("max_cells") != nullptr
                                  ? require_int(req, "max_cells", 1, 16)
                                  : options.max_search_cells;
-  options.search_seed = static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+  options.search_seed = seed_from(req);
   options.measure = measure_options_from(req);
   if (lib != nullptr) {
     // Feed the best-known class lattice (relabeled and verified by
@@ -712,12 +695,6 @@ JsonValue handle_sleep(const JsonValue& req, const Deadline& deadline) {
   return body;
 }
 
-bool is_pure_op(const std::string& op) {
-  return op == "synth" || op == "synth_sat" || op == "eval" ||
-         op == "paths" || op == "metrics" || op == "sweep_batch" ||
-         op == "explore" || op == "lint";
-}
-
 /// Canonical parameter rendering for the cache key: the request object with
 /// the volatile fields (id, deadline_ms) stripped, dumped in member order.
 std::string canonical_params(const JsonValue& req) {
@@ -835,28 +812,38 @@ struct Service::Impl {
     return out;
   }
 
+  /// One row per protocol op: its handler, and whether the op is a pure
+  /// function of its parameters (and so cacheable). The "unknown op"
+  /// message lists the rows in table order.
+  struct Op {
+    std::string_view name;
+    JsonValue (*handle)(Impl&, const JsonValue&, const Deadline&);
+    bool pure;
+  };
+  static const std::vector<Op>& ops();
+
+  static const Op* find_op(std::string_view name) {
+    for (const Op& op : ops()) {
+      if (op.name == name) return &op;
+    }
+    return nullptr;
+  }
+
+  static bool is_pure_op(std::string_view name) {
+    const Op* op = find_op(name);
+    return op != nullptr && op->pure;
+  }
+
   JsonValue dispatch(const std::string& op, const JsonValue& req,
                      const Deadline& deadline) {
-    if (op == "ping") return handle_ping(req, deadline);
-    if (op == "synth") return handle_synth(req, deadline, lib.get());
-    if (op == "synth_sat") return handle_synth_sat(req, deadline, lib.get());
-    if (op == "eval") return handle_eval(req, deadline);
-    if (op == "paths") return handle_paths(req, deadline);
-    if (op == "metrics") return handle_metrics(req, deadline);
-    if (op == "sweep_batch") return handle_sweep_batch(req, deadline);
-    if (op == "explore") return handle_explore(req, deadline, lib.get());
-    if (op == "lint") return handle_lint(req, deadline);
-    if (op == "sleep") return handle_sleep(req, deadline);
-    if (op == "stats") return handle_stats();
-    if (op == "shutdown") {
-      shutdown.store(true);
-      JsonValue body = body_for("shutdown");
-      body.set("draining", JsonValue::boolean(true));
-      return body;
+    if (const Op* entry = find_op(op)) return entry->handle(*this, req, deadline);
+    std::string expected;
+    for (const Op& entry : ops()) {
+      if (!expected.empty()) expected += ", ";
+      if (&entry == &ops().back()) expected += "or ";
+      expected += entry.name;
     }
-    throw Error("unknown op '" + op +
-                "' (expected ping, synth, synth_sat, eval, paths, metrics, "
-                "sweep_batch, explore, lint, stats, sleep, or shutdown)");
+    throw Error("unknown op '" + op + "' (expected " + expected + ")");
   }
 
   JsonValue handle_stats() {
@@ -1163,6 +1150,43 @@ struct Service::Impl {
   Clock::time_point t0;
 };
 
+const std::vector<Service::Impl::Op>& Service::Impl::ops() {
+  using D = const Deadline&;
+  using R = const JsonValue&;
+  static const std::vector<Op> table = {
+      {"ping", [](Impl&, R req, D d) { return handle_ping(req, d); }, false},
+      {"synth",
+       [](Impl& s, R req, D d) { return handle_synth(req, d, s.lib.get()); },
+       true},
+      {"synth_sat",
+       [](Impl& s, R req, D d) {
+         return handle_synth_sat(req, d, s.lib.get());
+       },
+       true},
+      {"eval", [](Impl&, R req, D d) { return handle_eval(req, d); }, true},
+      {"paths", [](Impl&, R req, D d) { return handle_paths(req, d); }, true},
+      {"metrics", [](Impl&, R req, D d) { return handle_metrics(req, d); },
+       true},
+      {"sweep_batch",
+       [](Impl&, R req, D d) { return handle_sweep_batch(req, d); }, true},
+      {"explore",
+       [](Impl& s, R req, D d) { return handle_explore(req, d, s.lib.get()); },
+       true},
+      {"lint", [](Impl&, R req, D d) { return handle_lint(req, d); }, true},
+      {"stats", [](Impl& s, R, D) { return s.handle_stats(); }, false},
+      {"sleep", [](Impl&, R req, D d) { return handle_sleep(req, d); }, false},
+      {"shutdown",
+       [](Impl& s, R, D) {
+         s.shutdown.store(true);
+         JsonValue body = body_for("shutdown");
+         body.set("draining", JsonValue::boolean(true));
+         return body;
+       },
+       false},
+  };
+  return table;
+}
+
 Service::Service(ServiceOptions options) : impl_(new Impl(std::move(options))) {}
 
 Service::~Service() { drain(); }
@@ -1271,7 +1295,7 @@ void Service::submit_async(std::string line,
   // costs one sharded lookup and never contends for a worker. The deadline
   // still gets its "at dequeue" check (dequeue is immediate here).
   if (impl.opts.cache && !impl.draining.load(std::memory_order_relaxed) &&
-      is_pure_op(op)) {
+      Impl::is_pure_op(op)) {
     const std::uint64_t key =
         jobs::cache_key(op, jobs::fnv1a64(canonical_params(*req)), {});
     if (std::optional<std::string> body = impl.cache_load(op, key)) {

@@ -8,9 +8,8 @@
 // op-specific parameters; "id" (any JSON scalar) is echoed back verbatim
 // and "deadline_ms" bounds the request's wall time from submission.
 // Responses always carry "op" and "ok"; failures add "error" (one of
-// bad_request, deadline_exceeded, overloaded, shutting_down, internal —
-// plus bound_exceeded, an ok-shaped synth refusal when the exhaustive
-// candidate space outgrows its budget) and a human-readable "message".
+// bad_request, deadline_exceeded, overloaded, shutting_down, internal) and
+// a human-readable "message".
 //
 // Ops: ping, synth, synth_sat, eval, paths, metrics, explore, lint, stats,
 // sleep, shutdown. The pure ops (synth, synth_sat, eval, paths, metrics,

@@ -169,7 +169,7 @@ OpResult BatchSolver::run_lane(std::size_t lane, const linalg::Vector& initial,
 
 std::vector<BatchCornerResult> BatchSolver::solve(
     const std::function<void(std::size_t)>& apply,
-    const BatchOptions& options) {
+    const NewtonOptions& options) {
   std::vector<BatchCornerResult> out(lanes_);
 
   // One gate for the whole batch: the corners share a topology, so the
@@ -188,39 +188,31 @@ std::vector<BatchCornerResult> BatchSolver::solve(
   n_ = circuit_->prepare_unknowns();
   node_count_ = circuit_->node_count();
   nonlinear_ = circuit_->has_nonlinear_devices();
-  sparse_active_ = options.newton.matrix_mode == MatrixMode::kSparse ||
-                   (options.newton.matrix_mode == MatrixMode::kAuto &&
+  sparse_active_ = options.matrix_mode == MatrixMode::kSparse ||
+                   (options.matrix_mode == MatrixMode::kAuto &&
                     n_ >= MnaLinearSolver::kDenseCutover);
   lu_.reset(lanes_);
   sparse_.reset(0);  // drop any pattern cached from a previous solve()
   newton_iterations_ = 0;
 
-  linalg::Vector warm;
-  bool have_warm = false;
   for (std::size_t lane = 0; lane < lanes_; ++lane) {
     apply(lane);
     BatchCornerResult& r = out[lane];
     EvalContext ctx;
     ctx.is_transient = false;
-    ctx.gmin = options.newton.gmin;
+    ctx.gmin = options.gmin;
     try {
       // Plain Newton first, then the same rescue ladders as
       // dc_operating_point — run through this lane's batched factors.
-      OpResult direct = run_lane(
-          lane, options.warm_start && have_warm ? warm : linalg::Vector{}, ctx,
-          options.newton);
+      OpResult direct = run_lane(lane, linalg::Vector{}, ctx, options);
       if (direct.converged) {
         r.op = std::move(direct);
       } else {
         r.op = detail::dcop_rescue(
-            ctx, options.newton,
+            ctx, options,
             [&](const linalg::Vector& initial, const EvalContext& step_ctx) {
-              return run_lane(lane, initial, step_ctx, options.newton);
+              return run_lane(lane, initial, step_ctx, options);
             });
-      }
-      if (options.warm_start) {
-        warm = r.op.solution;
-        have_warm = true;
       }
     } catch (const ftl::Error& e) {
       r.failed = true;
@@ -244,7 +236,7 @@ std::vector<BatchCornerResult> BatchSolver::solve(
 std::vector<BatchCornerResult> dcop_batch(
     Circuit& circuit, std::size_t lanes,
     const std::function<void(std::size_t)>& apply,
-    const BatchOptions& options) {
+    const NewtonOptions& options) {
   BatchSolver solver(circuit, lanes);
   return solver.solve(apply, options);
 }

@@ -9,9 +9,9 @@
 // a numeric replay of the recorded elimination instead of a fresh symbolic
 // factorization.
 //
-// Determinism contract: with warm_start off (the default), lane i's result
-// is bitwise identical to building a standalone circuit at corner i and
-// calling dc_operating_point on it. That holds because an accepted
+// Determinism contract: lane i's result is bitwise identical to building a
+// standalone circuit at corner i and calling dc_operating_point on it. That
+// holds because every lane's Newton iteration starts from zero, an accepted
 // SparseLu replay is bitwise identical to a full factor of the same matrix,
 // rejected replays fall back to exactly that full factor, and the Newton
 // driver below mirrors newton_solve step for step. Consequently threads may
@@ -46,15 +46,6 @@ BatchCounters batch_counters();
 /// Resets all counters to zero (test support).
 void reset_batch_counters();
 
-struct BatchOptions {
-  NewtonOptions newton;
-  /// Seed each lane's Newton iteration from the previous lane's solution
-  /// instead of zero. Converges faster on smooth corner sweeps, but changes
-  /// the iterates, so results are no longer bitwise identical to standalone
-  /// dc_operating_point runs — off by default.
-  bool warm_start = false;
-};
-
 /// Outcome of one lane. `failed` mirrors dc_operating_point throwing for
 /// that corner (singular system, stalled rescue): `error` then carries the
 /// exception text and `op` is meaningless. Callers that would have caught
@@ -82,7 +73,7 @@ class BatchSolver {
   /// presolve-gate rejection fails every lane with the same error.
   std::vector<BatchCornerResult> solve(
       const std::function<void(std::size_t)>& apply,
-      const BatchOptions& options = BatchOptions());
+      const NewtonOptions& options = NewtonOptions());
 
   /// LU-level counters of the most recent solve() call.
   const linalg::SparseLuBatchCounters& lu_counters() const {
@@ -113,6 +104,6 @@ class BatchSolver {
 std::vector<BatchCornerResult> dcop_batch(
     Circuit& circuit, std::size_t lanes,
     const std::function<void(std::size_t)>& apply,
-    const BatchOptions& options = BatchOptions());
+    const NewtonOptions& options = NewtonOptions());
 
 }  // namespace ftl::spice

@@ -1,10 +1,8 @@
 // The bitsliced evaluation core: 64-lane connectivity against the scalar
 // BFS and the memoized-LUT engine, block-parallel truth tables against
-// serial ones (bitwise), deterministic sharded exhaustive search, and the
-// process-wide evaluation counters.
+// serial ones (bitwise), and the process-wide evaluation counters.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -13,7 +11,6 @@
 #include "ftl/lattice/connectivity.hpp"
 #include "ftl/lattice/function.hpp"
 #include "ftl/lattice/lattice.hpp"
-#include "ftl/lattice/synthesis.hpp"
 #include "ftl/logic/truth_table.hpp"
 #include "ftl/util/error.hpp"
 
@@ -178,39 +175,6 @@ TEST(Bitslice, ParallelTruthTablesAreBitwiseIdenticalToSerial) {
     EXPECT_EQ(serial, capped);
     EXPECT_EQ(serial, scalar_truth_table(lat));
   }
-}
-
-TEST(Bitslice, ParallelExhaustiveSearchFindsTheSerialLattice) {
-  // XOR2 on 2x2 with constants: a known-found case. The first-found
-  // lattice must be identical for serial and parallel runs.
-  const TruthTable xor2 = TruthTable::from_bits(2, 0b0110);
-  ftl::lattice::SearchOptions serial_opts;
-  serial_opts.max_threads = 1;
-  ftl::lattice::SearchOptions parallel_opts;
-  parallel_opts.max_threads = 0;
-  const auto serial =
-      ftl::lattice::exhaustive_synthesis(xor2, 2, 2, serial_opts);
-  const auto parallel =
-      ftl::lattice::exhaustive_synthesis(xor2, 2, 2, parallel_opts);
-  ASSERT_TRUE(serial.has_value());
-  ASSERT_TRUE(parallel.has_value());
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_EQ(serial->at(r, c), parallel->at(r, c)) << r << "," << c;
-    }
-  }
-  // And a known-unfindable case must be nullopt under both.
-  ftl::lattice::SearchOptions no_consts_serial = serial_opts;
-  no_consts_serial.allow_constants = false;
-  ftl::lattice::SearchOptions no_consts_parallel = parallel_opts;
-  no_consts_parallel.allow_constants = false;
-  const TruthTable xor3 = TruthTable::from_function(3, [](std::uint64_t m) {
-    return (std::popcount(m & 7u) % 2) == 1;
-  });
-  EXPECT_FALSE(
-      ftl::lattice::exhaustive_synthesis(xor3, 2, 2, no_consts_serial));
-  EXPECT_FALSE(
-      ftl::lattice::exhaustive_synthesis(xor3, 2, 2, no_consts_parallel));
 }
 
 // --- the memoized LUT and the counters -------------------------------------

@@ -3,11 +3,16 @@
 // round-trip; lattice relabeling tracks the table transform; the store
 // round-trips through disk with a fewer-cells-wins policy; and
 // lookup-first synthesis answers NPN-equivalent requests from the library
-// with lattices that realize exactly the requested function.
+// with lattices that realize exactly the requested function; and the
+// `ftl_lattice_lib verify --certify` audit finishes on entries too large
+// for the SAT encoding.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <filesystem>
 #include <numeric>
 #include <random>
@@ -363,6 +368,56 @@ TEST(Library, CuratedTargetsAreCanonicalAndDeduplicated) {
   }
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+}
+
+// SAT encodes at most 64 cells, so the certify audit walks smaller shapes
+// only up to 64 and never stamps an entry of 66 or more cells. The stock
+// library holds such entries (5-variable parity is 16x16); both outcomes
+// they can reach must finish with exit 0.
+TEST(LibraryCli, CertifyAuditsEntriesAboveTheSatCellLimit) {
+  const std::string dir = fresh_dir("certify_large");
+  {
+    library::LatticeLibrary lib(dir);
+    // 256 cells; one conflict per shape settles too few shapes: unproven.
+    const TruthTable parity = TruthTable::from_function(
+        5, [](std::uint64_t m) { return (std::popcount(m) & 1) != 0; });
+    const library::NpnCanonical canon = library::canonicalize(parity);
+    library::LibraryEntry entry;
+    entry.lattice = lattice::altun_riedel_synthesis(canon.canonical);
+    ASSERT_EQ(entry.lattice.cell_count(), 256);
+    entry.engine = "altun";
+    ASSERT_TRUE(lib.insert(library::npn_key(canon.canonical), canon.canonical,
+                           false, entry));
+    // 81 cells for a function a 1x2 lattice realizes: improvable.
+    const TruthTable conj = logic::parse_expression("a b").table;
+    const library::NpnCanonical small = library::canonicalize(conj);
+    entry.lattice = library::pad_lattice(
+        lattice::altun_riedel_synthesis(small.canonical), 9, 9);
+    ASSERT_TRUE(lib.insert(library::npn_key(small.canonical), small.canonical,
+                           false, entry));
+  }
+
+  const std::string command = std::string(FTL_LATTICE_LIB_BIN) + " verify " +
+                              dir + " --certify --conflicts 1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << out;
+  EXPECT_NE(out.find("certified 0 of 2 audited (1 unproven by budget, 1 "
+                     "improvable, 0 proof failures)"),
+            std::string::npos)
+      << out;
+
+  // Nothing was stamped.
+  library::LatticeLibrary reopened(dir);
+  reopened.load_all();
+  for (const auto& [key, cls] : reopened.snapshot()) {
+    EXPECT_FALSE(cls.direct->certified);
+  }
 }
 
 }  // namespace

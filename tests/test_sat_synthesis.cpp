@@ -1,8 +1,9 @@
-// CEGAR SAT synthesis against the classical engines: encoding vs the
-// connectivity kernel, engine-agreement property tests over every 3-var
-// function, UNSAT agreement on infeasible shapes, the exhaustive-search
-// budget satellite, determinism/seed reporting, the SAT equivalence
-// backend, and the 5×5 / 8-variable headline the odometer cannot touch.
+// CEGAR SAT synthesis against the test-only odometer oracle: encoding vs
+// the connectivity kernel, engine-agreement property tests over every 3-var
+// function, UNSAT agreement on infeasible shapes, the smallest_lattice
+// shape ladder (sizes, certified minimality, budgets), determinism/seed
+// reporting, the SAT equivalence backend, and the 5×5 / 8-variable
+// headline the odometer cannot touch.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,6 +21,7 @@
 #include "ftl/sat/encode.hpp"
 #include "ftl/sat/solver.hpp"
 #include "ftl/util/error.hpp"
+#include "odometer_oracle.hpp"
 
 namespace {
 
@@ -27,17 +29,17 @@ using ftl::check::EquivalenceOptions;
 using ftl::check::verify_equivalence;
 using ftl::check::verify_equivalence_sat;
 using ftl::lattice::CellValue;
-using ftl::lattice::exhaustive_synthesis;
 using ftl::lattice::Lattice;
 using ftl::lattice::realizes;
 using ftl::lattice::SatSynthesisOptions;
 using ftl::lattice::SatSynthesisResult;
 using ftl::lattice::search_candidate_values;
-using ftl::lattice::SearchBoundExceeded;
-using ftl::lattice::SearchOptions;
+using ftl::lattice::smallest_lattice;
+using ftl::lattice::SmallestLatticeResult;
 using ftl::lattice::synth_sat;
 using ftl::lattice::top_bottom_connected_bits;
 using ftl::logic::TruthTable;
+using ftl::oracle::odometer_synthesis;
 
 TruthTable xor_n(int n) {
   return TruthTable::from_function(n, [](std::uint64_t m) {
@@ -100,7 +102,7 @@ TEST(SatSynthesis, AgreesWithExhaustiveOnEveryThreeVarFunctionAt2x2) {
   int infeasible = 0;
   for (std::uint64_t bits = 0; bits < 256; ++bits) {
     const TruthTable target = TruthTable::from_bits(3, bits);
-    const auto classical = exhaustive_synthesis(target, 2, 2);
+    const auto classical = odometer_synthesis(target, 2, 2);
     const SatSynthesisResult via_sat = synth_sat(target, 2, 2);
     ASSERT_EQ(classical.has_value(), via_sat.lattice.has_value())
         << "target bits " << bits;
@@ -125,7 +127,7 @@ TEST(SatSynthesis, AgreesWithExhaustiveOnRandomFourVarTargets) {
   for (int trial = 0; trial < 12; ++trial) {
     const std::uint64_t bits = rng() & 0xffff;
     const TruthTable target = TruthTable::from_bits(4, bits);
-    const auto classical = exhaustive_synthesis(target, 2, 3);
+    const auto classical = odometer_synthesis(target, 2, 3);
     const SatSynthesisResult via_sat = synth_sat(target, 2, 3);
     ASSERT_EQ(classical.has_value(), via_sat.lattice.has_value())
         << "target bits " << bits;
@@ -144,7 +146,7 @@ TEST(SatSynthesis, UnsatAgreementOnInfeasibleXorShapes) {
   // proven infeasible by both engines.
   const TruthTable xor3 = xor_n(3);
   for (const auto& shape : {std::pair{2, 2}, std::pair{2, 3}}) {
-    const auto classical = exhaustive_synthesis(xor3, shape.first, shape.second);
+    const auto classical = odometer_synthesis(xor3, shape.first, shape.second);
     EXPECT_FALSE(classical.has_value());
     const SatSynthesisResult via_sat =
         synth_sat(xor3, shape.first, shape.second);
@@ -220,30 +222,72 @@ TEST(SatSynthesis, RejectsContractViolations) {
   EXPECT_THROW(synth_sat(xor_n(3), 9, 9), ftl::ContractViolation);
 }
 
-// -- exhaustive-search budget satellite -------------------------------------
+// -- the smallest_lattice shape ladder --------------------------------------
 
-TEST(SearchBudget, ExhaustiveRefusesOversizedCandidateSpaces) {
-  // 4×5 at 6 vars: 14^20 ≈ 8e22 candidates — far past the 4e12 default.
-  const TruthTable target = xor_n(6);
-  try {
-    exhaustive_synthesis(target, 4, 5);
-    FAIL() << "expected SearchBoundExceeded";
-  } catch (const SearchBoundExceeded& e) {
-    EXPECT_GT(e.candidates(), e.budget());
-    EXPECT_EQ(e.budget(), 4e12);
-    EXPECT_NE(std::string(e.what()).find("synth_sat"), std::string::npos);
+TEST(SmallestLattice, MatchesTheOracleOnEveryThreeVarFunction) {
+  // Every non-constant 3-var function, every shape up to 6 cells: the SAT
+  // ladder and the odometer must agree on whether a lattice exists and on
+  // its cell count, and the ladder must prove each smaller shape infeasible.
+  int found = 0;
+  for (std::uint64_t bits = 1; bits < 255; ++bits) {
+    const TruthTable target = TruthTable::from_bits(3, bits);
+    const SmallestLatticeResult ladder = smallest_lattice(target, 6);
+    const int oracle_cells = ftl::oracle::odometer_min_cells(target, 6);
+    ASSERT_EQ(ladder.lattice.has_value(), oracle_cells != 0)
+        << "target bits " << bits;
+    EXPECT_TRUE(ladder.proven_minimal) << "target bits " << bits;
+    if (!ladder.lattice) continue;
+    ++found;
+    EXPECT_EQ(ladder.lattice->cell_count(), oracle_cells)
+        << "target bits " << bits;
+    EXPECT_TRUE(realizes(*ladder.lattice, target));
   }
+  // Both verdicts occur: most functions fit in 6 cells, XOR3 does not.
+  EXPECT_GT(found, 0);
+  EXPECT_LT(found, 254);
 }
 
-TEST(SearchBudget, BudgetIsConfigurable) {
-  SearchOptions options;
-  options.max_candidates = 10;  // 6^4 = 1296 candidates > 10
-  EXPECT_THROW(exhaustive_synthesis(xor_n(2), 2, 2, options),
-               SearchBoundExceeded);
-  // SearchBoundExceeded is an ftl::Error, so generic handlers catch it.
-  EXPECT_THROW(exhaustive_synthesis(xor_n(2), 2, 2, options), ftl::Error);
-  options.max_candidates = 1e300;
-  EXPECT_TRUE(exhaustive_synthesis(xor_n(2), 2, 2, options).has_value());
+TEST(SmallestLattice, CertifiesThatXor3NeedsNineCells) {
+  // Fig. 3's claim as a checked proof: all 20 shapes below 9 cells are
+  // infeasible with DRAT proofs the embedded checker accepts, and the
+  // ladder finds a 3×3 lattice (1×9, the first 9-cell shape, is infeasible).
+  SatSynthesisOptions options;
+  options.certify = true;
+  const SmallestLatticeResult ladder =
+      smallest_lattice(xor_n(3), 9, options, {"a", "b", "c"});
+  ASSERT_TRUE(ladder.lattice.has_value());
+  EXPECT_EQ(ladder.lattice->rows(), 3);
+  EXPECT_EQ(ladder.lattice->cols(), 3);
+  EXPECT_TRUE(realizes(*ladder.lattice, xor_n(3)));
+  EXPECT_TRUE(ladder.proven_minimal);
+  int below_nine = 0;
+  for (const auto& attempt : ladder.attempts) {
+    if (attempt.rows * attempt.cols >= 9) continue;
+    ++below_nine;
+    EXPECT_TRUE(attempt.sat.proven_infeasible)
+        << attempt.rows << "x" << attempt.cols;
+    EXPECT_TRUE(attempt.sat.proof_checked);
+    EXPECT_TRUE(attempt.sat.proof_valid);
+  }
+  EXPECT_EQ(below_nine, 20);
+  // Rows ascend within a cell count: 1×9, then 3×3.
+  ASSERT_EQ(ladder.attempts.size(), 22u);
+  EXPECT_EQ(ladder.attempts[20].rows, 1);
+  EXPECT_EQ(ladder.attempts[21].rows, 3);
+}
+
+TEST(SmallestLattice, ExhaustedBudgetIsNotProvenMinimal) {
+  // XOR2 fits a 2×2, but with no conflicts to spend every shape stays open:
+  // no lattice, and no claim of minimality either.
+  SatSynthesisOptions options;
+  options.max_conflicts = 0;
+  const SmallestLatticeResult ladder = smallest_lattice(xor_n(2), 4, options);
+  EXPECT_FALSE(ladder.lattice.has_value());
+  EXPECT_FALSE(ladder.proven_minimal);
+  ASSERT_FALSE(ladder.attempts.empty());
+  for (const auto& attempt : ladder.attempts) {
+    EXPECT_TRUE(attempt.sat.budget_exhausted);
+  }
 }
 
 TEST(SearchBudget, CandidateOrderIsSharedBetweenEngines) {
@@ -375,7 +419,7 @@ TEST(SatSynthesis, SynthesizesAFiveByFiveEightVarLatticeExhaustiveCannot) {
   for (int v = 0; v < 8; ++v) {
     ASSERT_TRUE(target.depends_on(v)) << "variable " << v;
   }
-  EXPECT_THROW(exhaustive_synthesis(target, 5, 5), ftl::ContractViolation);
+  EXPECT_THROW(odometer_synthesis(target, 5, 5), ftl::ContractViolation);
 
   const SatSynthesisResult result = synth_sat(target, 5, 5);
   ASSERT_TRUE(result.lattice.has_value());

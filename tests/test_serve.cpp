@@ -115,23 +115,21 @@ TEST(ServeProtocol, SynthAltunRealizesTheTarget) {
   EXPECT_EQ(lat->find("cells")->items().size(), 9u);
 }
 
-TEST(ServeProtocol, SynthExhaustiveFindsMinimalAnd) {
+TEST(ServeProtocol, SynthSatFindsMinimalAnd) {
   Service service({.workers = 1});
   // A 2x1 series pair is the minimal AND lattice.
   const JsonValue r = reply(
-      service,
-      R"({"op":"synth","expr":"a b","method":"exhaustive","rows":2,"cols":1})");
+      service, R"({"op":"synth_sat","expr":"a b","rows":2,"cols":1})");
   EXPECT_TRUE(r.bool_or("ok", false)) << r.dump();
   EXPECT_TRUE(r.find("found")->as_bool());
   EXPECT_DOUBLE_EQ(r.find("switch_count")->as_number(), 2.0);
-  EXPECT_TRUE(r.find("realizes")->as_bool());
 }
 
 TEST(ServeProtocol, SynthSearchEchoesTheDecisionSeed) {
   Service service({.workers = 1});
   const JsonValue r = reply(
       service,
-      R"({"op":"synth","expr":"a b","method":"exhaustive","rows":2,"cols":1,"seed":9})");
+      R"({"op":"synth_sat","expr":"a b","rows":2,"cols":1,"seed":9})");
   EXPECT_TRUE(r.bool_or("ok", false)) << r.dump();
   ASSERT_NE(r.find("seed"), nullptr) << r.dump();
   EXPECT_DOUBLE_EQ(r.find("seed")->as_number(), 9.0);
@@ -140,17 +138,38 @@ TEST(ServeProtocol, SynthSearchEchoesTheDecisionSeed) {
   EXPECT_EQ(altun.find("seed"), nullptr) << altun.dump();
 }
 
-TEST(ServeProtocol, SynthExhaustiveBoundExceededIsTyped) {
+TEST(ServeProtocol, SynthRetiredSearchMethodsPointToSynthSat) {
   Service service({.workers = 1});
-  // 14 candidate values on 20 cells is ~8e22 >> the 4e12 default budget;
-  // the refusal must be machine-readable, not a generic bad_request.
-  const JsonValue r = reply(
-      service,
-      R"({"op":"synth","expr":"a b c d e f","method":"exhaustive","rows":4,"cols":5})");
-  expect_error(r, "bound_exceeded");
-  ASSERT_NE(r.find("candidates"), nullptr) << r.dump();
-  ASSERT_NE(r.find("budget"), nullptr) << r.dump();
-  EXPECT_GT(r.find("candidates")->as_number(), r.find("budget")->as_number());
+  for (const char* method : {"exhaustive", "search"}) {
+    const JsonValue r = reply(
+        service, std::string(R"({"op":"synth","expr":"a b","method":")") +
+                     method + R"(","rows":2,"cols":1})");
+    expect_error(r, "bad_request");
+    EXPECT_NE(r.find("message")->as_string().find("synth_sat"),
+              std::string::npos)
+        << r.dump();
+  }
+}
+
+TEST(ServeProtocol, SeedsMustBeExactNonNegativeIntegers) {
+  // -1 and 1e300 would overflow the cast to uint64_t; 1.5 would silently
+  // run as seed 1. All three ops that take a seed refuse them.
+  Service service({.workers = 1});
+  const std::string ops[] = {
+      R"({"op":"synth_sat","expr":"a b","rows":2,"cols":1,"seed":)",
+      R"({"op":"sweep_batch","expr":"a b","trials":2,"seed":)",
+      R"({"op":"explore","expr":"a b","seed":)",
+  };
+  for (const std::string& prefix : ops) {
+    for (const char* seed : {"-1", "1e300", "1.5"}) {
+      expect_error(reply(service, prefix + seed + "}"), "bad_request");
+    }
+  }
+  // 2^53 is the largest seed every JSON number holds exactly.
+  const JsonValue top = reply(
+      service, std::string(ops[0]) + "9007199254740992}");
+  EXPECT_TRUE(top.bool_or("ok", false)) << top.dump();
+  EXPECT_DOUBLE_EQ(top.find("seed")->as_number(), 9007199254740992.0);
 }
 
 TEST(ServeProtocol, SynthSatSolvesAndReportsSolverWork) {
@@ -312,11 +331,11 @@ TEST(ServeLibrary, DisabledLibraryStillServesSynthFromTheEngines) {
 
 TEST(ServeLibrary, ExploreIncludesTheLibraryCandidateOnceWarm) {
   Service service({.workers = 1});
-  // Warm the class with an exhaustive 2x2 mapping (4 cells) — strictly
-  // smaller than anything the baseline would propose for this function.
+  // Warm the class with a SAT 2x2 mapping (4 cells) — strictly smaller
+  // than anything the baseline would propose for this function.
   const JsonValue synth = reply(
       service,
-      R"({"op":"synth","expr":"a b + c d","method":"exhaustive","rows":2,"cols":2,"vars":["a","b","c","d"]})");
+      R"({"op":"synth_sat","expr":"a b + c d","rows":2,"cols":2,"vars":["a","b","c","d"]})");
   ASSERT_TRUE(synth.find("found")->as_bool()) << synth.dump();
   const JsonValue r = reply(
       service,
@@ -572,7 +591,12 @@ TEST(ServeProtocol, MalformedRequestsAreBadRequests) {
   Service service({.workers = 1});
   expect_error(reply(service, "this is not json"), "bad_request");
   expect_error(reply(service, "[1,2,3]"), "bad_request");  // not an object
-  expect_error(reply(service, R"({"op":"no_such_op"})"), "bad_request");
+  const JsonValue unknown = reply(service, R"({"op":"no_such_op"})");
+  expect_error(unknown, "bad_request");
+  EXPECT_EQ(unknown.find("message")->as_string(),
+            "unknown op 'no_such_op' (expected ping, synth, synth_sat, eval, "
+            "paths, metrics, sweep_batch, explore, lint, stats, sleep, or "
+            "shutdown)");
   expect_error(reply(service, R"({"op":"synth"})"), "bad_request");  // no expr
   expect_error(reply(service, R"({"op":"paths","rows":99,"cols":2})"),
                "bad_request");

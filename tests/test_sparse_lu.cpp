@@ -273,12 +273,11 @@ TEST(SparseLuBatch, LanesShareOneSymbolicAnalysis) {
     }
     mats.push_back(std::move(m));
   }
-  std::vector<linalg::CsrView> views;
-  for (const auto& m : mats) views.push_back(m.view());
-
   linalg::SparseLuBatch batch;
   batch.reset(lanes);
-  batch.refactor_batch(views);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    batch.factor_lane(lane, mats[lane].view());
+  }
   EXPECT_EQ(batch.counters().symbolic_factors, 1u);
   EXPECT_EQ(batch.counters().symbolic_reuses, lanes - 1);
   EXPECT_EQ(batch.counters().numeric_refactors, lanes - 1);
@@ -286,14 +285,14 @@ TEST(SparseLuBatch, LanesShareOneSymbolicAnalysis) {
 
   // Every lane must match a standalone factorization of its matrix bitwise.
   const linalg::Vector b = random_vector(n, rng);
-  std::vector<linalg::Vector> xs;
-  batch.solve_batch(std::vector<linalg::Vector>(lanes, b), xs);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
+    linalg::Vector x;
+    batch.solve_lane(lane, b, x);
     linalg::SparseLu standalone;
     standalone.factor(mats[lane]);
     const linalg::Vector expect = standalone.solve(b);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(xs[lane][i], expect[i]) << "lane=" << lane << " i=" << i;
+      EXPECT_EQ(x[i], expect[i]) << "lane=" << lane << " i=" << i;
     }
   }
 }
@@ -313,32 +312,31 @@ TEST(SparseLuBatch, DegradedLaneFallsBackPrivatelyAndStaysBitwise) {
       mats[1].values()[p] *= 1e-12;
     }
   }
-  std::vector<linalg::CsrView> views;
-  for (const auto& m : mats) views.push_back(m.view());
-
   linalg::SparseLuBatch batch;
   batch.reset(lanes);
-  batch.refactor_batch(views);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    batch.factor_lane(lane, mats[lane].view());
+  }
   EXPECT_GE(batch.counters().lane_fallbacks, 1u);
 
   const linalg::Vector b = random_vector(n, rng);
-  std::vector<linalg::Vector> xs;
-  batch.solve_batch(std::vector<linalg::Vector>(lanes, b), xs);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
+    linalg::Vector x;
+    batch.solve_lane(lane, b, x);
     linalg::SparseLu standalone;
     standalone.factor(mats[lane]);
     const linalg::Vector expect = standalone.solve(b);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(xs[lane][i], expect[i]) << "lane=" << lane << " i=" << i;
+      EXPECT_EQ(x[i], expect[i]) << "lane=" << lane << " i=" << i;
     }
   }
 
   // A later round with healthy values: the fallback lane retries the shared
   // replay first (acceptance is a property of the values, not history).
   const auto reuses_before = batch.counters().symbolic_reuses;
-  std::vector<linalg::CsrView> healthy;
-  for (std::size_t lane = 0; lane < lanes; ++lane) healthy.push_back(base.view());
-  batch.refactor_batch(healthy);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    batch.factor_lane(lane, base.view());
+  }
   EXPECT_EQ(batch.counters().symbolic_reuses, reuses_before + lanes);
 }
 

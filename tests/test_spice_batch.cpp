@@ -1,7 +1,7 @@
 // Batched corner DC engine: bitwise agreement with standalone
 // dc_operating_point across sparse and dense paths, chain_current_batch
-// parity, per-lane failure reporting, warm starts, and the process-wide
-// batch_core counters.
+// parity, per-lane failure reporting, and the process-wide batch_core
+// counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -110,45 +110,6 @@ TEST(SpiceBatch, CountersAccumulatePerBatchAndLane) {
   // factorizations ride the recorded elimination.
   EXPECT_GT(after.symbolic_reuses, before.symbolic_reuses);
   EXPECT_GT(after.numeric_refactors, before.numeric_refactors);
-}
-
-TEST(SpiceBatch, WarmStartConvergesToTheSameOperatingPoints) {
-  // warm_start trades bitwise identity for fewer iterations on smooth
-  // sweeps; the operating points themselves must still agree to solver
-  // tolerance.
-  bridge::ChainCircuit chain = bridge::build_switch_chain(3, 1.2, 1.2);
-  auto& supply = dynamic_cast<spice::VoltageSource&>(
-      chain.circuit.device(chain.supply_source));
-  auto& gate = dynamic_cast<spice::VoltageSource&>(
-      chain.circuit.device(chain.gate_source));
-  std::vector<double> volts{0.6, 0.8, 1.0, 1.2, 1.4};
-  const auto apply = [&](std::size_t lane) {
-    supply.set_waveform(spice::Waveform::dc(volts[lane]));
-    gate.set_waveform(spice::Waveform::dc(volts[lane]));
-  };
-
-  const auto cold = spice::dcop_batch(chain.circuit, volts.size(), apply);
-  spice::BatchOptions warm_options;
-  warm_options.warm_start = true;
-  const auto warm =
-      spice::dcop_batch(chain.circuit, volts.size(), apply, warm_options);
-  std::uint64_t cold_iters = 0;
-  std::uint64_t warm_iters = 0;
-  for (std::size_t lane = 0; lane < volts.size(); ++lane) {
-    ASSERT_FALSE(cold[lane].failed);
-    ASSERT_FALSE(warm[lane].failed);
-    ASSERT_TRUE(cold[lane].op.converged);
-    ASSERT_TRUE(warm[lane].op.converged);
-    cold_iters += static_cast<std::uint64_t>(cold[lane].op.iterations);
-    warm_iters += static_cast<std::uint64_t>(warm[lane].op.iterations);
-    for (std::size_t i = 0; i < cold[lane].op.solution.size(); ++i) {
-      EXPECT_NEAR(warm[lane].op.solution[i], cold[lane].op.solution[i], 1e-6)
-          << "lane=" << lane << " unknown=" << i;
-    }
-  }
-  // Adjacent sweep points are close, so seeding from the neighbour must not
-  // cost iterations overall.
-  EXPECT_LE(warm_iters, cold_iters);
 }
 
 TEST(SpiceBatch, PresolveRejectionFailsEveryLaneWithoutThrowing) {

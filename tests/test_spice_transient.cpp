@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "ftl/spice/devices.hpp"
 #include "ftl/spice/measure.hpp"
@@ -87,6 +88,13 @@ struct IntegratorCase {
   Integrator method;
   double expected_error;  // tolerated max deviation from the exponential
 };
+
+// Without a printer gtest dumps the struct's raw bytes, padding included, and
+// the registered test names would change from build to build.
+void PrintTo(const IntegratorCase& c, std::ostream* os) {
+  *os << (c.method == Integrator::kBackwardEuler ? "BackwardEuler"
+                                                 : "Trapezoidal");
+}
 
 class RcCharging : public ::testing::TestWithParam<IntegratorCase> {};
 

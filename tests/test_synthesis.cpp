@@ -1,6 +1,7 @@
 // Lattice synthesis tests: the Altun–Riedel construction must realize every
-// function it is given; the search engines must find known realizations and
-// prove small impossibilities.
+// function it is given; the test-only odometer oracle must find known
+// realizations and prove small impossibilities (it is the reference the SAT
+// engine is checked against in test_sat_synthesis).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,16 +12,15 @@
 #include "ftl/logic/expr_parser.hpp"
 #include "ftl/logic/isop.hpp"
 #include "ftl/util/error.hpp"
+#include "odometer_oracle.hpp"
 
 namespace {
 
 using ftl::lattice::altun_riedel_synthesis;
-using ftl::lattice::exhaustive_synthesis;
 using ftl::lattice::Lattice;
-using ftl::lattice::local_search_synthesis;
 using ftl::lattice::realizes;
-using ftl::lattice::SearchOptions;
 using ftl::logic::TruthTable;
+using ftl::oracle::odometer_synthesis;
 
 TEST(AltunRiedel, ConstantFunctions) {
   const Lattice zero = altun_riedel_synthesis(TruthTable::constant(2, false));
@@ -96,108 +96,36 @@ INSTANTIATE_TEST_SUITE_P(RandomFunctions, AltunRiedelRandom,
 
 TEST(ExhaustiveSynthesis, FindsXor2OnTwoByTwo) {
   const TruthTable xor2 = TruthTable::from_bits(2, 0b0110);
-  const auto lat = exhaustive_synthesis(xor2, 2, 2);
+  const auto lat = odometer_synthesis(xor2, 2, 2);
   ASSERT_TRUE(lat.has_value());
   EXPECT_TRUE(realizes(*lat, xor2));
 }
 
 TEST(ExhaustiveSynthesis, ProvesXor2NeedsMoreThanOneCell) {
   const TruthTable xor2 = TruthTable::from_bits(2, 0b0110);
-  EXPECT_FALSE(exhaustive_synthesis(xor2, 1, 1).has_value());
-  EXPECT_FALSE(exhaustive_synthesis(xor2, 1, 2).has_value());
-  EXPECT_FALSE(exhaustive_synthesis(xor2, 2, 1).has_value());
+  EXPECT_FALSE(odometer_synthesis(xor2, 1, 1).has_value());
+  EXPECT_FALSE(odometer_synthesis(xor2, 1, 2).has_value());
+  EXPECT_FALSE(odometer_synthesis(xor2, 2, 1).has_value());
 }
 
 TEST(ExhaustiveSynthesis, AndOrNeedOnlyOneDimension) {
   const TruthTable both = TruthTable::variable(2, 0) & TruthTable::variable(2, 1);
-  const auto lat_and = exhaustive_synthesis(both, 2, 1);
+  const auto lat_and = odometer_synthesis(both, 2, 1);
   ASSERT_TRUE(lat_and.has_value());
   EXPECT_TRUE(realizes(*lat_and, both));
 
   const TruthTable either = TruthTable::variable(2, 0) | TruthTable::variable(2, 1);
-  const auto lat_or = exhaustive_synthesis(either, 1, 2);
+  const auto lat_or = odometer_synthesis(either, 1, 2);
   ASSERT_TRUE(lat_or.has_value());
   EXPECT_TRUE(realizes(*lat_or, either));
 }
 
 TEST(ExhaustiveSynthesis, LiteralsOnlyCannotRealizeXor3OnThreeByThree) {
   // The paper's minimum-size XOR3 lattice needs a constant cell: without
-  // constants the exhaustive search over all 6^9 assignments fails.
-  SearchOptions options;
-  options.allow_constants = false;
-  const auto lat = exhaustive_synthesis(ftl::lattice::xor3_truth_table(), 3, 3,
-                                        options, {"a", "b", "c"});
+  // constants the complete search over all 6^9 assignments fails.
+  const auto lat = odometer_synthesis(ftl::lattice::xor3_truth_table(), 3, 3,
+                                      /*allow_constants=*/false);
   EXPECT_FALSE(lat.has_value());
-}
-
-TEST(ExhaustiveSynthesis, SymmetrySkipIsAnExactOptimization) {
-  // The reflection-twin skip must not change any answer: same found/not
-  // found, same cells, for 2D grids, single rows/columns, and an unrealizable
-  // target. Includes 3x3 XOR3 with constants — the paper's minimum mapping.
-  struct Case {
-    TruthTable target;
-    int rows, cols;
-  };
-  const std::vector<Case> cases = {
-      {TruthTable::from_bits(2, 0b0110), 2, 2},
-      {TruthTable::from_bits(2, 0b0110), 1, 2},  // unrealizable on a row
-      {ftl::lattice::xor3_truth_table(), 3, 3},
-      {ftl::logic::parse_expression("a b + b c + a c").table, 2, 3},
-      {TruthTable::variable(2, 0) & TruthTable::variable(2, 1), 2, 1},
-      {TruthTable::variable(2, 0) | TruthTable::variable(2, 1), 1, 3},
-  };
-  for (const auto& cs : cases) {
-    SearchOptions skip_on;
-    skip_on.symmetry_skip = true;
-    SearchOptions skip_off;
-    skip_off.symmetry_skip = false;
-    const auto a = exhaustive_synthesis(cs.target, cs.rows, cs.cols, skip_on);
-    const auto b = exhaustive_synthesis(cs.target, cs.rows, cs.cols, skip_off);
-    ASSERT_EQ(a.has_value(), b.has_value())
-        << cs.rows << "x" << cs.cols << " table " << cs.target.word(0);
-    if (!a) continue;
-    EXPECT_TRUE(realizes(*a, cs.target));
-    for (int r = 0; r < cs.rows; ++r) {
-      for (int c = 0; c < cs.cols; ++c) {
-        EXPECT_EQ(a->at(r, c), b->at(r, c))
-            << "cell (" << r << "," << c << ") differs for " << cs.rows << "x"
-            << cs.cols;
-      }
-    }
-  }
-}
-
-TEST(LocalSearch, FindsXor2Quickly) {
-  const TruthTable xor2 = TruthTable::from_bits(2, 0b0110);
-  SearchOptions options;
-  options.seed = 99;
-  const auto lat = local_search_synthesis(xor2, 2, 2, options);
-  ASSERT_TRUE(lat.has_value());
-  EXPECT_TRUE(realizes(*lat, xor2));
-}
-
-TEST(LocalSearch, FindsMajorityOnThreeByThree) {
-  const auto maj = ftl::logic::parse_expression("a b + b c + a c").table;
-  SearchOptions options;
-  options.seed = 5;
-  const auto lat = local_search_synthesis(maj, 3, 3, options, {"a", "b", "c"});
-  ASSERT_TRUE(lat.has_value());
-  EXPECT_TRUE(realizes(*lat, maj));
-}
-
-TEST(LocalSearch, IsDeterministicForAFixedSeed) {
-  const TruthTable xor2 = TruthTable::from_bits(2, 0b0110);
-  SearchOptions options;
-  options.seed = 1234;
-  const auto a = local_search_synthesis(xor2, 2, 2, options);
-  const auto b = local_search_synthesis(xor2, 2, 2, options);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  for (int r = 0; r < 2; ++r) {
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_EQ(a->at(r, c), b->at(r, c));
-    }
-  }
 }
 
 TEST(AltunRiedelBdd, AgreesWithTruthTableRouteOnSmallFunctions) {
@@ -252,10 +180,16 @@ TEST(AltunRiedelBdd, ConstantsDegenerate) {
 }
 
 TEST(SearchContracts, RejectOversizedProblems) {
+  // The shape ladder stops where synth_sat does: 64 cells.
   const TruthTable xor2 = TruthTable::from_bits(2, 0b0110);
-  EXPECT_THROW(exhaustive_synthesis(xor2, 5, 5), ftl::ContractViolation);
-  TruthTable big(7);
-  EXPECT_THROW(exhaustive_synthesis(big, 2, 2), ftl::ContractViolation);
+  EXPECT_THROW(ftl::lattice::smallest_lattice(xor2, 65),
+               ftl::ContractViolation);
+  EXPECT_THROW(ftl::lattice::smallest_lattice(TruthTable(0), 1),
+               ftl::ContractViolation);
+  // The oracle enumerates candidates, so it stops far earlier.
+  EXPECT_THROW(odometer_synthesis(xor2, 5, 5), ftl::ContractViolation);
+  EXPECT_THROW(odometer_synthesis(TruthTable(7), 2, 2),
+               ftl::ContractViolation);
 }
 
 }  // namespace
