@@ -1,7 +1,7 @@
 // Fig. 3 reproduction: XOR3 realized on a 3x4 lattice and on the
 // minimum-size 3x3 lattice. The bench re-verifies the shipped mappings,
 // re-derives the baseline Altun-Riedel lattice (4x4), and proves with
-// DRAT-checked SAT that no lattice with fewer than 9 cells realizes XOR3 —
+// LRAT-checked SAT that no lattice with fewer than 9 cells realizes XOR3 —
 // establishing 3x3 as the minimum, as the paper states. Exits nonzero
 // unless every smaller shape is proven infeasible.
 #include <cstdio>
@@ -33,9 +33,9 @@ int main() {
               realizes(ar, xor3) ? "yes" : "NO", ar.to_string().c_str());
 
   // Every shape of 1..9 cells in ascending order, each UNSAT verdict
-  // backed by a DRAT proof the embedded checker accepted.
+  // backed by an LRAT proof the embedded checker accepted.
   std::printf("Minimality proof by the SAT shape ladder (literals + constants"
-              " per cell, DRAT-checked):\n");
+              " per cell, LRAT-checked):\n");
   SatSynthesisOptions certified;
   certified.certify = true;
   const SmallestLatticeResult ladder =

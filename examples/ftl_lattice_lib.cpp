@@ -11,7 +11,7 @@
 // stored lattice against its class table and exits non-zero on any
 // mismatch, so a library directory can be audited after manual edits or
 // partial writes. With --certify, each audited entry is additionally proven
-// correct by a DRAT-checked SAT equivalence AND shape-minimal by walking
+// correct by an LRAT-checked SAT equivalence AND shape-minimal by walking
 // the lattice::smallest_lattice ladder with certified infeasibility at
 // every smaller shape; entries that pass get their `certified` bit stamped
 // into the on-disk record. Budget exhaustion leaves an entry unproven (not
@@ -47,7 +47,7 @@ void print_usage() {
       "         class/entry counts and per-engine provenance\n"
       "  verify LIB_DIR [--certify] [--sample N] [--conflicts C]\n"
       "         re-verify every stored lattice; exit 1 on any mismatch.\n"
-      "         --certify: prove correctness (DRAT-checked SAT equivalence)\n"
+      "         --certify: prove correctness (LRAT-checked SAT equivalence)\n"
       "         and shape-minimality per entry, stamping the certified bit;\n"
       "         --sample N certifies only the first N entries (key order)\n"
       "  lookup LIB_DIR EXPR [--vars a,b,c]\n"
@@ -117,14 +117,14 @@ int cmd_stats(ftl::library::LatticeLibrary& lib) {
   return 0;
 }
 
-/// One entry's --certify audit: DRAT-checked SAT equivalence, then the
+/// One entry's --certify audit: LRAT-checked SAT equivalence, then the
 /// smallest_lattice ladder with certified infeasibility at every strictly
 /// smaller shape. Outcomes are disjoint; exactly one counter is bumped.
 struct CertifyTally {
   std::size_t stamped = 0;      ///< proven correct + minimal, bit written
   std::size_t unproven = 0;     ///< a budget ran out, or over 65 cells
   std::size_t improvable = 0;   ///< a smaller shape realizes the class
-  std::size_t proof_failures = 0;  ///< some UNSAT failed the DRAT checker
+  std::size_t proof_failures = 0;  ///< some UNSAT failed the LRAT checker
 };
 
 void certify_entry(ftl::library::LatticeLibrary& lib, std::uint64_t key,
@@ -139,7 +139,7 @@ void certify_entry(ftl::library::LatticeLibrary& lib, std::uint64_t key,
   if (!equivalence.realizes || !equivalence.certified) {
     std::printf("PROOF-FAIL %s (%s): equivalence %s\n",
                 ftl::jobs::digest_hex(key).c_str(), phase,
-                equivalence.realizes ? "proof rejected by the DRAT checker"
+                equivalence.realizes ? "proof rejected by the LRAT checker"
                                      : "refuted by the SAT miter");
     ++tally.proof_failures;
     return;
@@ -160,7 +160,7 @@ void certify_entry(ftl::library::LatticeLibrary& lib, std::uint64_t key,
   for (const ftl::lattice::ShapeAttempt& attempt : ladder.attempts) {
     if (attempt.sat.proven_infeasible && !attempt.sat.proof_valid) {
       std::printf(
-          "PROOF-FAIL %s (%s): %dx%d infeasibility rejected by the DRAT "
+          "PROOF-FAIL %s (%s): %dx%d infeasibility rejected by the LRAT "
           "checker\n",
           ftl::jobs::digest_hex(key).c_str(), phase, attempt.rows,
           attempt.cols);

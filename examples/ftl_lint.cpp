@@ -41,7 +41,7 @@ void print_usage() {
       "  --lattice      inputs are lattice-spec JSON, not netlists\n"
       "  --equiv B      equivalence backend: 'auto' (default), 'bdd', 'sat'\n"
       "  --certify      (lattice mode) machine-check every UNSAT verdict\n"
-      "                 with the embedded DRAT checker and run the certified\n"
+      "                 with the embedded LRAT checker and run the certified\n"
       "                 SAT audits (FTL-L006/7/8); output gains a proof field\n"
       "  --format F     'text' (default) or 'json'\n"
       "  --quiet        suppress per-diagnostic output, keep exit code\n"
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Under --certify the output states the proof status explicitly: every
-    // UNSAT behind the verdicts passed the embedded DRAT checker
+    // UNSAT behind the verdicts passed the embedded LRAT checker
     // ("checked") or at least one was rejected ("failed", FTL-E003).
     const bool proof_failed =
         equiv.certify && lattice_mode && has_rule(report, "FTL-E003");

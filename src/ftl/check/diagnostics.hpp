@@ -29,7 +29,7 @@
 //   FTL-L009  note     semantic analysis skipped / routed to SAT audits
 //   FTL-E001  error    mapping does not realize the target (counterexample)
 //   FTL-E002  error    mapping/target variable-count mismatch
-//   FTL-E003  error    UNSAT verdict failed the embedded DRAT proof checker
+//   FTL-E003  error    UNSAT verdict failed the embedded LRAT proof checker
 
 #include <string>
 #include <vector>

@@ -170,7 +170,7 @@ EquivalenceVerdict verify_equivalence_sat(const Lattice& lat,
   // proof; a missing or rejected check poisons the `certified` bit.
   const auto note_unsat = [&](const sat::Solver& solver) {
     if (!certify) return;
-    const sat::DratCheckResult* check = solver.last_proof_check();
+    const sat::ProofCheckResult* check = solver.last_proof_check();
     if (check == nullptr || !check->valid) {
       proofs_ok = false;
     } else {
@@ -262,7 +262,7 @@ Report check_equivalence(const Lattice& lat, const logic::TruthTable& target,
     if (options.certify && !verdict.certified) {
       report.add("FTL-E003", Severity::kError, "lattice",
                  "equivalence holds but its UNSAT proof failed the embedded "
-                 "DRAT checker; the verdict is unverified");
+                 "LRAT checker; the verdict is unverified");
     }
     return report;
   }

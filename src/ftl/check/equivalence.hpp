@@ -30,11 +30,11 @@ struct EquivalenceOptions {
   Backend backend = Backend::kAuto;
   int sat_fallback_vars = 20;  ///< kAuto switches to SAT above this
 
-  /// Certify: force the SAT backend, log DRAT proofs, and run the embedded
-  /// DratChecker on each UNSAT miter query, so an "equivalent" verdict is
-  /// machine-checked instead of trusted from the CDCL core. The verdict's
-  /// `certified` bit reports the checker outcome; check_equivalence turns a
-  /// failed check into FTL-E003.
+  /// Certify: force the SAT backend, log LRAT proofs, and certify each
+  /// UNSAT miter query with the solver's embedded checker, so an
+  /// "equivalent" verdict is machine-checked instead of trusted from the
+  /// CDCL core. The verdict's `certified` bit reports the checker outcome;
+  /// check_equivalence turns a failed check into FTL-E003.
   bool certify = false;
 };
 
@@ -46,7 +46,7 @@ struct EquivalenceVerdict {
   bool lattice_value = false;  ///< lattice output at the counterexample
 
   /// With EquivalenceOptions::certify and realizes: true when every UNSAT
-  /// miter query's DRAT proof passed the embedded checker.
+  /// miter query's LRAT proof passed the embedded checker.
   bool certified = false;
   double proof_check_ms = 0.0;  ///< total checker wall-clock
 };
@@ -64,7 +64,7 @@ EquivalenceVerdict verify_equivalence(const lattice::Lattice& lat,
 /// it disconnected while the target is 1". Both UNSAT proves equivalence;
 /// either model is a genuine counterexample minterm read off the input
 /// variables. Never builds a BDD, so it scales past BDD-friendly sizes.
-/// With `certify`, each query logs a DRAT proof and each UNSAT answer is
+/// With `certify`, each query logs an LRAT proof and each UNSAT answer is
 /// validated by the embedded checker (see EquivalenceVerdict::certified).
 EquivalenceVerdict verify_equivalence_sat(const lattice::Lattice& lat,
                                           const logic::TruthTable& target,

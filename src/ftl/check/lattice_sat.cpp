@@ -123,12 +123,12 @@ GuardedCells encode_guarded_cells(Solver& solver, const Lattice& lat) {
 }
 
 /// Consumes one kFalse verdict: bumps the UNSAT counters and, under
-/// certify, folds in the solver's automatic DRAT check. Returns false when
+/// certify, folds in the solver's proof verdict. Returns false when
 /// the proof was rejected — the caller reports one FTL-E003 per query.
 bool consume_unsat(AuditCtx& ctx, const Solver& solver) {
   ++ctx.audit.unsat_verdicts;
   if (!ctx.options.certify) return true;
-  const sat::DratCheckResult* check = solver.last_proof_check();
+  const sat::ProofCheckResult* check = solver.last_proof_check();
   if (check == nullptr || !check->valid) {
     ++ctx.audit.proof_failures;
     return false;
@@ -257,7 +257,7 @@ void audit_unreachable(AuditCtx& ctx, const Lattice& lat) {
             "FTL-E003", Severity::kError, cell_id(r, c),
             "an UNSAT verdict behind the FTL-L007 finding at " +
                 cell_id(r, c) +
-                " failed the embedded DRAT checker; the finding is "
+                " failed the embedded LRAT checker; the finding is "
                 "unverified");
       }
     }
@@ -317,7 +317,7 @@ void audit_removable(AuditCtx& ctx, const Lattice& lat) {
       ctx.audit.report.add(
           "FTL-E003", Severity::kError, object,
           "an UNSAT verdict behind the FTL-L006 finding on " + object +
-              " failed the embedded DRAT checker; the finding is unverified");
+              " failed the embedded LRAT checker; the finding is unverified");
     }
   };
   if (rows > 1) {
@@ -381,7 +381,7 @@ void audit_suboptimal(AuditCtx& ctx, const Lattice& lat) {
           "FTL-E003", Severity::kError, "lattice",
           "the infeasibility proof for the " + std::to_string(sub_rows) +
               "x" + std::to_string(sub_cols) +
-              " shape query failed the embedded DRAT checker");
+              " shape query failed the embedded LRAT checker");
     }
   }
 }

@@ -29,10 +29,12 @@
 //                      function, found by lattice::synth_sat on the
 //                      (rows-1)×cols and rows×(cols-1) shapes.
 //
-// With `certify`, each solver runs with DRAT proof logging and every UNSAT
-// verdict consumed by the audit is validated by the embedded checker; a
-// rejected proof downgrades nothing silently — it surfaces as FTL-E003 on
-// the same object.
+// With `certify`, each solver logs an LRAT proof into its own incremental
+// checker, which verifies every lemma once as it arrives; every UNSAT
+// verdict the audit consumes (the core minimization re-solves included)
+// then costs one final hinted step, not a replay of the solver's earlier
+// queries. A rejected proof downgrades nothing silently — it surfaces as
+// FTL-E003 on the same object.
 
 #include <cstdint>
 
@@ -42,8 +44,8 @@
 namespace ftl::check {
 
 struct LatticeSatAuditOptions {
-  /// Log DRAT proofs and run the embedded checker on every UNSAT verdict;
-  /// failures surface as FTL-E003 (see LatticeSatAudit counters).
+  /// Log LRAT proofs and certify every UNSAT verdict with the embedded
+  /// checker; failures surface as FTL-E003 (see LatticeSatAudit counters).
   bool certify = false;
   /// Conflict budget per individual SAT query (L006/L007 and their core
   /// minimization solves). A query that exhausts it is dropped without a
@@ -61,8 +63,8 @@ struct LatticeSatAudit {
   Report report;
   int queries = 0;          ///< top-level audit queries solved
   int unsat_verdicts = 0;   ///< UNSAT answers consumed (incl. minimization)
-  int certified_unsat = 0;  ///< ... whose DRAT proof passed the checker
-  int proof_failures = 0;   ///< ... whose DRAT proof was rejected
+  int certified_unsat = 0;  ///< ... whose proof passed the checker
+  int proof_failures = 0;   ///< ... whose proof was rejected
   double proof_check_ms = 0.0;  ///< total embedded-checker wall-clock
 };
 

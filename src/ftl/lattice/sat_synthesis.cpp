@@ -88,11 +88,11 @@ SatSynthesisResult synth_sat(const logic::TruthTable& target, int rows,
     sat::detail::count_cegar_round();
     if (verdict == sat::LBool::kFalse) {
       result.proven_infeasible = true;
-      // The solver auto-checked its DRAT proof on the UNSAT exit (certify);
+      // The solver certified its LRAT proof on the UNSAT exit (certify);
       // surface the outcome so callers can distinguish "proved infeasible"
       // from "proved infeasible, and the proof was machine-checked".
       if (options.certify) {
-        const sat::DratCheckResult* check = solver.last_proof_check();
+        const sat::ProofCheckResult* check = solver.last_proof_check();
         result.proof_checked = check != nullptr;
         result.proof_valid = check != nullptr && check->valid;
         if (check != nullptr) result.proof_check_ms = check->check_ms;

@@ -8,7 +8,7 @@
 //    |ISOP(f)| lattice; fast, never fails, rarely minimal.
 //  - synth_sat: CDCL + CEGAR (lattice/sat_synthesis.cpp) on one fixed
 //    rows×cols shape. Finds a realization or proves none exists (with a
-//    DRAT-checked proof under certify), within a conflict budget.
+//    LRAT-checked proof under certify), within a conflict budget.
 //  - smallest_lattice: synth_sat on every shape in ascending cell count —
 //    the exact minimum-size question behind the paper's "3×3 is the
 //    minimum size for XOR3".
@@ -63,8 +63,9 @@ struct SatSynthesisOptions {
   /// LatticeSynthesisCnf::add_symmetry_breaking). Sound for any target —
   /// reflections preserve the realized function — and on by default.
   bool symmetry_break = true;
-  /// Log a DRAT proof and validate any infeasibility verdict with the
-  /// embedded checker; the outcome lands in proof_checked / proof_valid.
+  /// Log an LRAT proof, checked lemma by lemma by the solver's embedded
+  /// checker, and certify any infeasibility verdict with it; the outcome
+  /// lands in proof_checked / proof_valid.
   bool certify = false;
 };
 
@@ -83,12 +84,12 @@ struct SatSynthesisResult {
   sat::SolveStats solver;  ///< conflicts/decisions/propagations/restarts
 
   /// Certification of the infeasibility verdict (certify only): the final
-  /// UNSAT's DRAT proof was run through the embedded checker, and whether
+  /// UNSAT's LRAT proof was run through the embedded checker, and whether
   /// it was accepted. A found lattice needs no proof — it is re-verified
   /// against the target by the bitslice kernel before being handed out.
   bool proof_checked = false;
   bool proof_valid = false;
-  double proof_check_ms = 0.0;  ///< checker wall-clock
+  double proof_check_ms = 0.0;  ///< checker wall-clock over the run
 };
 
 /// CEGAR lattice synthesis on the embedded CDCL solver: encode realization

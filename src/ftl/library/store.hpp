@@ -38,7 +38,7 @@ struct LibraryEntry {
   double cost_ms = 0;     ///< wall-clock cost of the search that found it
   /// Stamped by `ftl_lattice_lib verify --certify`: the entry passed a
   /// proof-checked SAT equivalence AND every smaller shape was proven
-  /// infeasible with a checker-accepted DRAT proof (shape-minimality).
+  /// infeasible with a checker-accepted LRAT proof (shape-minimality).
   /// Reset whenever a smaller lattice replaces the entry — the certificate
   /// belongs to the lattice, not the class.
   bool certified = false;

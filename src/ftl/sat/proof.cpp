@@ -2,494 +2,201 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <unordered_map>
-
-#include "ftl/util/error.hpp"
 
 namespace ftl::sat {
 namespace {
 
-/// Sorted-deduped copy of a clause; `tautology` set when it contains p and
-/// ~p (such a clause is vacuously true and never constrains anything).
-std::vector<Lit> canonical(const std::vector<Lit>& lits, bool* tautology) {
-  std::vector<Lit> out = lits;
-  std::sort(out.begin(), out.end(),
+/// Sorted, deduplicated copy of a clause.
+std::vector<Lit> canonical(std::vector<Lit> lits) {
+  std::sort(lits.begin(), lits.end(),
             [](Lit a, Lit b) { return a.code < b.code; });
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  *tautology = false;
-  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-    if (out[i] == ~out[i + 1]) {
-      *tautology = true;
-      break;
-    }
-  }
-  return out;
+  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  return lits;
 }
 
-std::uint64_t clause_hash(const std::vector<Lit>& lits) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const Lit p : lits) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.code));
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 29;
+/// Adds the wall-clock of its scope to a nanosecond total.
+class BusyTimer {
+ public:
+  explicit BusyTimer(std::int64_t& total)
+      : total_(total), start_(std::chrono::steady_clock::now()) {}
+  ~BusyTimer() {
+    total_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - start_)
+                  .count();
   }
-  return h;
-}
+  BusyTimer(const BusyTimer&) = delete;
+  BusyTimer& operator=(const BusyTimer&) = delete;
+
+ private:
+  std::int64_t& total_;
+  std::chrono::steady_clock::time_point start_;
+};
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // MemoryProof
 
-void MemoryProof::on_input(const std::vector<Lit>& lits) {
-  records_.push_back({ProofStep::kInput, lits});
-  ++inputs_;
+void MemoryProof::on_input(ClauseId id, const std::vector<Lit>& lits) {
+  records_.push_back({ProofStep::kInput, id, lits, {}});
 }
 
-void MemoryProof::on_derive(const std::vector<Lit>& lits) {
-  records_.push_back({ProofStep::kDerive, lits});
-  ++derives_;
+void MemoryProof::on_derive(ClauseId id, const std::vector<Lit>& lits,
+                            const std::vector<ClauseId>& hints) {
+  records_.push_back({ProofStep::kDerive, id, lits, hints});
 }
 
-void MemoryProof::on_delete(const std::vector<Lit>& lits) {
-  records_.push_back({ProofStep::kDelete, lits});
-  ++deletes_;
-}
-
-// ---------------------------------------------------------------------------
-// FileProofSink / parse_drat_file
-
-FileProofSink::FileProofSink(const std::string& path) : path_(path) {
-  file_ = std::fopen(path.c_str(), "w");
-  if (file_ == nullptr) throw Error("cannot open proof file " + path);
-}
-
-FileProofSink::~FileProofSink() {
-  if (file_ != nullptr) close();
-}
-
-void FileProofSink::close() {
-  if (file_ == nullptr) return;
-  std::fclose(file_);
-  file_ = nullptr;
-}
-
-void FileProofSink::write_clause(const char* prefix,
-                                 const std::vector<Lit>& lits) {
-  FTL_EXPECTS(file_ != nullptr);
-  if (prefix[0] != '\0') std::fprintf(file_, "%s", prefix);
-  for (const Lit p : lits) {
-    const int dimacs = (p.var() + 1) * (p.positive() ? 1 : -1);
-    std::fprintf(file_, "%d ", dimacs);
-  }
-  std::fprintf(file_, "0\n");
-}
-
-void FileProofSink::on_input(const std::vector<Lit>& lits) {
-  write_clause("c i ", lits);
-}
-
-void FileProofSink::on_derive(const std::vector<Lit>& lits) {
-  write_clause("", lits);
-}
-
-void FileProofSink::on_delete(const std::vector<Lit>& lits) {
-  write_clause("d ", lits);
-}
-
-std::vector<ProofRecord> parse_drat_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) throw Error("cannot read proof file " + path);
-  std::vector<ProofRecord> records;
-  ProofRecord current;
-  bool in_clause = false;
-  char token[64];
-  const auto fail = [&](const std::string& why) {
-    std::fclose(file);
-    throw Error("malformed proof file " + path + ": " + why);
-  };
-  while (std::fscanf(file, "%63s", token) == 1) {
-    if (!in_clause) {
-      current.lits.clear();
-      if (token[0] == 'c') {
-        // Comment; "c i" carries an input clause, anything else is skipped.
-        int second = std::fgetc(file);
-        while (second == ' ' || second == '\t') second = std::fgetc(file);
-        if (second == 'i') {
-          current.step = ProofStep::kInput;
-          in_clause = true;
-          continue;
-        }
-        while (second != '\n' && second != EOF) second = std::fgetc(file);
-        continue;
-      }
-      if (token[0] == 'd' && token[1] == '\0') {
-        current.step = ProofStep::kDelete;
-        in_clause = true;
-        continue;
-      }
-      current.step = ProofStep::kDerive;
-      in_clause = true;
-    }
-    // Literal token (possibly the first of a derive line just started).
-    char* end = nullptr;
-    const long value = std::strtol(token, &end, 10);
-    if (end == token || *end != '\0') fail("bad token '" + std::string(token) + "'");
-    if (value == 0) {
-      records.push_back(current);
-      current.lits.clear();
-      in_clause = false;
-      continue;
-    }
-    const long var = (value > 0 ? value : -value) - 1;
-    if (var > (1 << 29)) fail("literal out of range");
-    current.lits.push_back(Lit::of(static_cast<Var>(var), value > 0));
-  }
-  std::fclose(file);
-  if (in_clause) {
-    throw Error("malformed proof file " + path +
-                ": truncated clause (no terminating 0)");
-  }
-  return records;
+void MemoryProof::on_delete(ClauseId id) {
+  records_.push_back({ProofStep::kDelete, id, {}, {}});
 }
 
 // ---------------------------------------------------------------------------
-// DratChecker
+// LratChecker
 
-namespace {
+void LratChecker::fail(const char* why) {
+  if (error_.empty()) error_ = why;
+}
 
-constexpr std::size_t kNoClause = static_cast<std::size_t>(-1);
+signed char LratChecker::value(Lit p) const {
+  const auto v = static_cast<std::size_t>(p.var());
+  if (stamp_[v] != epoch_) return 0;
+  return p.positive() ? val_[v] : static_cast<signed char>(-val_[v]);
+}
 
-struct CheckClause {
-  std::vector<Lit> lits;  ///< canonical (sorted, deduped)
-  bool tautology = false;
-  bool active = false;
-  bool marked = false;
-  bool is_input = false;
-  std::size_t input_index = 0;  ///< dense index among kInput records
-};
+void LratChecker::assign(Lit p) {
+  const auto v = static_cast<std::size_t>(p.var());
+  stamp_[v] = epoch_;
+  val_[v] = p.positive() ? 1 : -1;
+}
 
-/// The checker's own propagation engine: an arena of clauses, two-watched
-/// literals for clauses of size >= 2, a unit list for size-1 clauses, and a
-/// stamped assignment so per-check state resets in O(trail).
-struct CheckerState {
-  std::vector<CheckClause> arena;
-  std::vector<std::vector<std::size_t>> watches;  ///< by lit code
-  std::vector<std::size_t> units;                 ///< ids of size-1 clauses
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
-
-  int num_vars = 0;
-  std::vector<std::uint32_t> stamp;       ///< per-var: last check touching it
-  std::vector<signed char> val;           ///< per-var value under `stamp`
-  std::vector<std::size_t> reason;        ///< per-var implying clause id
-  std::vector<char> seen;                 ///< cone-marking scratch
-  std::vector<Var> trail;
-  std::uint32_t check_id = 0;
-
-  std::size_t marked_inputs = 0;
-  std::vector<std::size_t> core_inputs;
-
-  void ensure_var(Var v) {
-    if (v < num_vars) return;
-    num_vars = v + 1;
-    stamp.resize(static_cast<std::size_t>(num_vars), 0);
-    val.resize(static_cast<std::size_t>(num_vars), 0);
-    reason.resize(static_cast<std::size_t>(num_vars), kNoClause);
-    seen.resize(static_cast<std::size_t>(num_vars), 0);
-    watches.resize(2 * static_cast<std::size_t>(num_vars));
-  }
-
-  signed char value(Lit p) const {
-    const auto v = static_cast<std::size_t>(p.var());
-    if (stamp[v] != check_id) return 0;
-    return p.positive() ? val[v] : static_cast<signed char>(-val[v]);
-  }
-
-  void attach(std::size_t id) {
-    CheckClause& c = arena[id];
-    c.active = true;
-    if (c.tautology || c.lits.empty()) return;
-    if (c.lits.size() == 1) {
-      units.push_back(id);
-      return;
-    }
-    watches[static_cast<std::size_t>(c.lits[0].code)].push_back(id);
-    watches[static_cast<std::size_t>(c.lits[1].code)].push_back(id);
-  }
-
-  /// Marks a clause as load-bearing for the final conflict. Input clauses
-  /// join the UNSAT core; derived ones will be RUP-checked when the
-  /// backward sweep reaches them.
-  void mark(std::size_t id) {
-    CheckClause& c = arena[id];
-    if (c.marked) return;
-    c.marked = true;
-    if (c.is_input && c.input_index != kNoClause) {
-      core_inputs.push_back(c.input_index);
-      ++marked_inputs;
-    }
-  }
-
-  /// Marks the conflict cone: the conflicting clause plus, transitively,
-  /// the reason clause of every assigned literal it rests on.
-  void mark_cone(std::size_t conflict_id) {
-    std::vector<Var> queue;
-    const auto visit = [&](std::size_t id) {
-      if (id == kNoClause) return;
-      mark(id);
-      for (const Lit p : arena[id].lits) {
-        const auto v = static_cast<std::size_t>(p.var());
-        if (stamp[v] == check_id && seen[v] == 0) {
-          seen[v] = 1;
-          queue.push_back(p.var());
-        }
-      }
-    };
-    visit(conflict_id);
-    while (!queue.empty()) {
-      const Var v = queue.back();
-      queue.pop_back();
-      visit(reason[static_cast<std::size_t>(v)]);
-    }
-    for (const Var v : trail) seen[static_cast<std::size_t>(v)] = 0;
-  }
-
-  /// Assigns `p` true with `from` as its reason. Returns kNoClause on
-  /// consistency; on contradiction returns a clause standing for the
-  /// conflict (the reason of the opposing assignment, or `from`).
-  bool assign(Lit p, std::size_t from, std::size_t* conflict) {
-    const auto v = static_cast<std::size_t>(p.var());
-    const signed char want = p.positive() ? 1 : -1;
-    if (stamp[v] == check_id) {
-      if (val[v] == want) return true;
-      // Contradiction between two forced literals.
-      *conflict = from != kNoClause ? from : reason[v];
-      if (*conflict == kNoClause) *conflict = reason[v];
-      if (from != kNoClause) mark(from);
-      if (reason[v] != kNoClause) mark(reason[v]);
-      return false;
-    }
-    stamp[v] = check_id;
-    val[v] = want;
-    reason[v] = from;
-    trail.push_back(p.var());
-    return true;
-  }
-
-  /// RUP check of `lits` against the currently active clauses: assume every
-  /// literal false (plus all active unit clauses) and unit-propagate; the
-  /// check passes iff a conflict is forced, and the conflict cone is marked.
-  bool rup_holds(const std::vector<Lit>& lits) {
-    ++check_id;
-    trail.clear();
-    std::size_t conflict = kNoClause;
-    // Seed with the active unit clauses (the root facts), then the negated
-    // target clause.
-    std::size_t u = 0;
-    while (u < units.size()) {
-      const std::size_t id = units[u];
-      if (!arena[id].active) {
-        units[u] = units.back();
-        units.pop_back();
-        continue;
-      }
-      if (!assign(arena[id].lits[0], id, &conflict)) {
-        mark_cone(conflict);
-        return true;
-      }
-      ++u;
-    }
-    for (const Lit p : lits) {
-      if (!assign(~p, kNoClause, &conflict)) {
-        mark_cone(conflict);
-        return true;
-      }
-    }
-    // Two-watched-literal propagation over the trail.
-    std::size_t head = 0;
-    while (head < trail.size()) {
-      const Var v = trail[head++];
-      const Lit p =
-          Lit::of(v, val[static_cast<std::size_t>(v)] > 0);  // now true
-      std::vector<std::size_t>& ws =
-          watches[static_cast<std::size_t>((~p).code)];
-      std::size_t i = 0;
-      std::size_t j = 0;
-      bool conflicted = false;
-      while (i < ws.size()) {
-        const std::size_t id = ws[i++];
-        CheckClause& c = arena[id];
-        if (!c.active) continue;  // lazily dropped from the list
-        std::vector<Lit>& cl = c.lits;
-        const Lit false_lit = ~p;
-        if (cl[0] == false_lit) std::swap(cl[0], cl[1]);
-        if (value(cl[0]) > 0) {
-          ws[j++] = id;
-          continue;
-        }
-        bool rewatched = false;
-        for (std::size_t k = 2; k < cl.size(); ++k) {
-          if (value(cl[k]) >= 0) {
-            std::swap(cl[1], cl[k]);
-            watches[static_cast<std::size_t>(cl[1].code)].push_back(id);
-            rewatched = true;
-            break;
-          }
-        }
-        if (rewatched) continue;
-        ws[j++] = id;
-        if (value(cl[0]) < 0) {
-          // Every literal false: genuine conflict.
-          while (i < ws.size()) ws[j++] = ws[i++];
-          mark_cone(id);
-          conflicted = true;
-          break;
-        }
-        if (!assign(cl[0], id, &conflict)) {
-          while (i < ws.size()) ws[j++] = ws[i++];
-          mark_cone(conflict);
-          conflicted = true;
-          break;
-        }
-      }
-      ws.resize(j);
-      if (conflicted) return true;
-    }
+bool LratChecker::store(ClauseId id, const std::vector<Lit>& lits) {
+  if (id != clauses_.size() + 1) {
+    fail("clause id out of sequence");
     return false;
   }
-};
-
-}  // namespace
-
-DratCheckResult DratChecker::check(const std::vector<ProofRecord>& records,
-                                   const std::vector<Lit>& final_clause) {
-  const auto t0 = std::chrono::steady_clock::now();
-  DratCheckResult result;
-  const auto finish = [&](bool valid, std::string why) {
-    result.valid = valid;
-    result.error = std::move(why);
-    result.check_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    detail::count_proof_check(result.valid, result.check_ms);
-    return result;
-  };
-
-  CheckerState st;
-  bool taut = false;
-  const std::vector<Lit> target = canonical(final_clause, &taut);
-  for (const Lit p : target) st.ensure_var(p.var());
-
-  // Forward replay: attach inputs and derivations in order, resolve
-  // deletions against the active set, and remember which arena id each
-  // record touched so the backward sweep can restore history exactly.
-  std::vector<std::size_t> record_id(records.size(), kNoClause);
-  std::size_t input_count = 0;
-  std::size_t last_derive = kNoClause;    // record index
-  std::size_t trivial_input = kNoClause;  // empty input clause, if any
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const ProofRecord& rec = records[i];
-    for (const Lit p : rec.lits) {
-      if (!p.defined()) return finish(false, "undefined literal in proof");
-      st.ensure_var(p.var());
+  for (const Lit p : lits) {
+    if (!p.defined()) {
+      fail("undefined literal in proof");
+      return false;
     }
-    bool is_taut = false;
-    std::vector<Lit> lits = canonical(rec.lits, &is_taut);
-    if (rec.step == ProofStep::kDelete) {
-      const std::uint64_t h = clause_hash(lits);
-      auto it = st.by_hash.find(h);
-      std::size_t found = kNoClause;
-      if (it != st.by_hash.end()) {
-        for (std::size_t k = 0; k < it->second.size(); ++k) {
-          const std::size_t id = it->second[k];
-          if (st.arena[id].active && st.arena[id].lits == lits) {
-            found = id;
-            it->second[k] = it->second.back();
-            it->second.pop_back();
-            break;
-          }
-        }
-      }
-      if (found == kNoClause) {
-        return finish(false, "deletion references a clause that is not in "
-                             "the active set");
-      }
-      st.arena[found].active = false;
-      record_id[i] = found;
-      continue;
+    const auto need = static_cast<std::size_t>(p.var()) + 1;
+    if (need > stamp_.size()) {
+      stamp_.resize(need, 0);
+      val_.resize(need, 0);
     }
-    CheckClause clause;
-    clause.lits = std::move(lits);
-    clause.tautology = is_taut;
-    clause.is_input = rec.step == ProofStep::kInput;
-    clause.input_index = clause.is_input ? input_count++ : kNoClause;
-    const std::size_t id = st.arena.size();
-    st.arena.push_back(std::move(clause));
-    st.attach(id);
-    st.by_hash[clause_hash(st.arena[id].lits)].push_back(id);
-    record_id[i] = id;
-    if (rec.step == ProofStep::kDerive) last_derive = i;
-    if (st.arena[id].is_input && st.arena[id].lits.empty()) trivial_input = id;
   }
-
-  // An empty input clause makes the formula vacuously unsatisfiable; the
-  // proof is its own core.
-  if (trivial_input != kNoClause) {
-    st.mark(trivial_input);
-    result.core_inputs = st.core_inputs;
-    return finish(true, "");
-  }
-
-  if (last_derive == kNoClause) {
-    return finish(false, "proof derives nothing");
-  }
-  if (st.arena[record_id[last_derive]].lits != target) {
-    return finish(false,
-                  "final derived clause differs from the certified claim");
-  }
-
-  // Backward sweep with lazy marking: the final clause is marked by
-  // definition; each marked derivation is detached and RUP-checked against
-  // the clauses that preceded it (deletions are re-attached as the sweep
-  // passes them, restoring the historical active set).
-  st.mark(record_id[last_derive]);
-  for (std::size_t i = records.size(); i-- > 0;) {
-    const ProofRecord& rec = records[i];
-    const std::size_t id = record_id[i];
-    if (rec.step == ProofStep::kDelete) {
-      st.attach(id);
-      continue;
-    }
-    if (rec.step == ProofStep::kInput) continue;  // axioms stay attached
-    st.arena[id].active = false;
-    if (!st.arena[id].marked) {
-      ++result.skipped;
-      continue;
-    }
-    if (st.arena[id].tautology) {
-      ++result.checked;
-      continue;
-    }
-    if (!st.rup_holds(st.arena[id].lits)) {
-      return finish(false, "derived clause is not a reverse-unit-propagation "
-                           "consequence of the clauses before it");
-    }
-    ++result.checked;
-  }
-  std::sort(st.core_inputs.begin(), st.core_inputs.end());
-  result.core_inputs = std::move(st.core_inputs);
-  return finish(true, "");
+  clauses_.push_back({pool_.size(), static_cast<std::uint32_t>(lits.size()),
+                      true});
+  pool_.insert(pool_.end(), lits.begin(), lits.end());
+  if (lits.empty()) has_empty_ = true;
+  return true;
 }
 
-DratCheckResult check_solver_proof(const Solver& solver) {
-  const MemoryProof* log = solver.proof_log();
-  if (log == nullptr) {
-    DratCheckResult result;
-    result.error = "solver has no proof log (SolverOptions::certify is off)";
-    return result;
+/// Hinted RUP: under the negation of `lits`, every hint but the last must be
+/// unit (it assigns its one open literal) and the last must be falsified.
+bool LratChecker::refute(const std::vector<Lit>& lits,
+                         const std::vector<ClauseId>& hints) {
+  if (++epoch_ == 0) {  // wrapped: forget every stale stamp
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
   }
-  return DratChecker().check(*log, solver.failed_assumptions());
+  for (const Lit p : lits) {
+    const signed char v = value(p);
+    if (v > 0) return true;  // p and ~p both present: a tautology
+    if (v == 0) assign(~p);
+  }
+  for (std::size_t h = 0; h < hints.size(); ++h) {
+    const ClauseId id = hints[h];
+    if (id == 0 || id >= clauses_.size()) {
+      fail("hint names a clause that was never added");
+      return false;
+    }
+    const Clause& c = clauses_[id - 1];
+    if (!c.alive) {
+      fail("hint names a deleted clause");
+      return false;
+    }
+    Lit open{-2};
+    for (std::size_t k = c.begin; k < c.begin + c.size; ++k) {
+      const Lit q = pool_[k];
+      const signed char v = value(q);
+      if (v < 0) continue;
+      if (v > 0 || (open.defined() && open != q)) {
+        fail("hint is not unit at its position");
+        return false;
+      }
+      open = q;
+    }
+    if (!open.defined()) {
+      if (h + 1 == hints.size()) return true;
+      fail("hints continue past the conflict");
+      return false;
+    }
+    assign(open);
+  }
+  fail("hint list stops before a conflict");
+  return false;
+}
+
+void LratChecker::on_input(ClauseId id, const std::vector<Lit>& lits) {
+  if (ok()) store(id, lits);
+}
+
+void LratChecker::on_derive(ClauseId id, const std::vector<Lit>& lits,
+                            const std::vector<ClauseId>& hints) {
+  if (!ok()) return;
+  const BusyTimer timer(busy_ns_);
+  // Stored first so the lemma's own literals have stamp slots; a failed
+  // refutation poisons the checker, so the clause is never used.
+  if (!store(id, lits) || !refute(lits, hints)) return;
+  last_lemma_ = id;
+  ++lemmas_;
+}
+
+void LratChecker::on_delete(ClauseId id) {
+  if (!ok()) return;
+  if (id == 0 || id > clauses_.size() || !clauses_[id - 1].alive) {
+    fail("deletion names a clause that is not in the active set");
+    return;
+  }
+  clauses_[id - 1].alive = false;
+}
+
+void LratChecker::apply(const ProofRecord& record) {
+  switch (record.step) {
+    case ProofStep::kInput: on_input(record.id, record.lits); break;
+    case ProofStep::kDerive:
+      on_derive(record.id, record.lits, record.hints);
+      break;
+    case ProofStep::kDelete: on_delete(record.id); break;
+  }
+}
+
+ProofCheckResult LratChecker::verdict(const std::vector<Lit>& claim) {
+  ProofCheckResult result;
+  {
+    const BusyTimer timer(busy_ns_);
+    if (!ok()) {
+      result.error = error_;
+    } else if (has_empty_) {
+      result.valid = true;
+    } else if (last_lemma_ == 0) {
+      result.error = "proof derives nothing";
+    } else {
+      const Clause& c = clauses_[last_lemma_ - 1];
+      const auto first = pool_.begin() + static_cast<std::ptrdiff_t>(c.begin);
+      result.valid = canonical(claim) ==
+                     canonical(std::vector<Lit>(first, first + c.size));
+      if (!result.valid) {
+        result.error = "final derived clause differs from the certified claim";
+      }
+    }
+  }
+  result.lemmas = lemmas_;
+  result.check_ms = static_cast<double>(busy_ns_) * 1e-6;
+  lemmas_ = 0;
+  busy_ns_ = 0;
+  return result;
 }
 
 }  // namespace ftl::sat

@@ -1,26 +1,25 @@
 #pragma once
-// DRAT proof logging and checking for the embedded CDCL solver.
+// LRAT proof logging and checking for the embedded CDCL solver.
 //
-// Every UNSAT verdict the solver hands out can be backed by a clausal
-// proof: the sequence of input clauses it was given plus every clause it
-// learned (each of which is a reverse-unit-propagation consequence of the
-// clauses before it) and every learnt clause it later deleted. DratChecker
-// replays that log with its own watched-literal propagation — a few hundred
-// lines that share no search code with the solver — so a "proof checked"
-// verdict does not depend on the ~1.5k-line CDCL core being correct.
+// Every UNSAT verdict the solver hands out can be backed by a clausal proof
+// in LRAT form (Cruz-Filipe et al., "Efficient Certified RAT Verification",
+// CADE 2017). Input and derived clauses share one id sequence, and every
+// derived clause ("lemma") lists the ids of the clauses ("hints") that,
+// taken in order under the lemma's negation, each become unit until the
+// last one is falsified. LratChecker verifies each lemma once, when it
+// arrives, by walking its hints alone: no watch lists, no search, no
+// backward pass. Certifying a verdict is then one final hinted step,
+// however many queries the solver answered before it.
 //
-// The trusted-core boundary: the checker trusts only (a) the recorded input
-// clauses and (b) its own unit propagation. Derived clauses are verified
-// backward from the final clause with lazy marking (drat-trim style): only
-// clauses that actually feed the final conflict are RUP-checked, and the
-// marked input clauses double as an UNSAT core over the inputs.
+// The trusted-core boundary: the checker trusts only the recorded input
+// clauses and its own hinted propagation. It shares no code with the CDCL
+// core, so a bogus UNSAT would need two independent bugs that agree.
 //
-// Proof sinks are pluggable: MemoryProof keeps the log in-process for
-// immediate checking; FileProofSink streams standard DRAT text ("d " for
-// deletions, literals in DIMACS signed form) for external checkers.
+// Proof sinks are pluggable: under SolverOptions::certify the solver feeds
+// its own LratChecker, and a sink attached with Solver::set_proof_sink (a
+// MemoryProof, say, to replay into a fresh checker) sees the same events.
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -28,15 +27,21 @@
 
 namespace ftl::sat {
 
+/// Proof clause id. Input and derived clauses are numbered 1, 2, 3, ... in
+/// the order they are recorded.
+using ClauseId = std::uint64_t;
+
 enum class ProofStep : std::uint8_t {
-  kInput,   ///< axiom: a clause handed to the solver (post-canonicalization)
-  kDerive,  ///< a clause the solver claims follows by RUP from what precedes
-  kDelete,  ///< a previously added clause leaves the active set
+  kInput,   ///< axiom: a clause handed to the solver
+  kDerive,  ///< lemma: refuted by unit propagation over its hints
+  kDelete,  ///< a clause leaves the active set
 };
 
 struct ProofRecord {
   ProofStep step = ProofStep::kInput;
-  std::vector<Lit> lits;
+  ClauseId id = 0;
+  std::vector<Lit> lits;        ///< empty for kDelete
+  std::vector<ClauseId> hints;  ///< kDerive only, in propagation order
 };
 
 /// Receives proof events from the solver in derivation order. Implementations
@@ -44,103 +49,79 @@ struct ProofRecord {
 class ProofSink {
  public:
   virtual ~ProofSink() = default;
-  virtual void on_input(const std::vector<Lit>& lits) = 0;
-  virtual void on_derive(const std::vector<Lit>& lits) = 0;
-  virtual void on_delete(const std::vector<Lit>& lits) = 0;
+  virtual void on_input(ClauseId id, const std::vector<Lit>& lits) = 0;
+  virtual void on_derive(ClauseId id, const std::vector<Lit>& lits,
+                         const std::vector<ClauseId>& hints) = 0;
+  virtual void on_delete(ClauseId id) = 0;
 };
 
-/// In-memory proof log, the input format of DratChecker.
+/// Records every event, e.g. to replay a solver's proof into a fresh checker.
 class MemoryProof : public ProofSink {
  public:
-  void on_input(const std::vector<Lit>& lits) override;
-  void on_derive(const std::vector<Lit>& lits) override;
-  void on_delete(const std::vector<Lit>& lits) override;
+  void on_input(ClauseId id, const std::vector<Lit>& lits) override;
+  void on_derive(ClauseId id, const std::vector<Lit>& lits,
+                 const std::vector<ClauseId>& hints) override;
+  void on_delete(ClauseId id) override;
 
   const std::vector<ProofRecord>& records() const { return records_; }
-  std::vector<ProofRecord>& mutable_records() { return records_; }
-
-  std::size_t inputs() const { return inputs_; }
-  std::size_t derives() const { return derives_; }
-  std::size_t deletes() const { return deletes_; }
 
  private:
   std::vector<ProofRecord> records_;
-  std::size_t inputs_ = 0;
-  std::size_t derives_ = 0;
-  std::size_t deletes_ = 0;
 };
 
-/// Streams DRAT text. Derivations are plain DIMACS lines ("1 -3 0"),
-/// deletions are prefixed "d". Input clauses are written as "c i ..."
-/// comment lines so one file carries the whole checkable unit (standard
-/// DRAT tools ignore comments; parse_drat_file reads them back).
-class FileProofSink : public ProofSink {
+struct ProofCheckResult {
+  bool valid = false;
+  std::string error;       ///< empty when valid; the first failure otherwise
+  std::size_t lemmas = 0;  ///< lemmas checked since the previous verdict
+  double check_ms = 0.0;   ///< checker wall-clock since the previous verdict
+};
+
+/// Incremental LRAT checker. Events arrive in proof order; ids must follow
+/// the sequence 1, 2, 3, ... and every hint must name a live clause with a
+/// smaller id. The first failure is sticky: every later verdict repeats it.
+class LratChecker final : public ProofSink {
  public:
-  /// Opens `path` for writing; throws ftl::Error when that fails.
-  explicit FileProofSink(const std::string& path);
-  ~FileProofSink() override;
+  void on_input(ClauseId id, const std::vector<Lit>& lits) override;
+  void on_derive(ClauseId id, const std::vector<Lit>& lits,
+                 const std::vector<ClauseId>& hints) override;
+  void on_delete(ClauseId id) override;
 
-  FileProofSink(const FileProofSink&) = delete;
-  FileProofSink& operator=(const FileProofSink&) = delete;
+  /// Feeds one recorded event.
+  void apply(const ProofRecord& record);
 
-  void on_input(const std::vector<Lit>& lits) override;
-  void on_derive(const std::vector<Lit>& lits) override;
-  void on_delete(const std::vector<Lit>& lits) override;
+  /// Certifies `claim`: empty = the empty clause (plain UNSAT), otherwise
+  /// the failed-assumption clause of an assumption-based UNSAT, which must
+  /// be the newest lemma. Valid when every step so far checked and the
+  /// claim is derived; the empty clause, once present, implies any claim.
+  ProofCheckResult verdict(const std::vector<Lit>& claim = {});
 
-  /// Flushes and closes; subsequent events are an error. Called by the
-  /// destructor when not already closed.
-  void close();
+  bool ok() const { return error_.empty(); }
 
  private:
-  void write_clause(const char* prefix, const std::vector<Lit>& lits);
+  struct Clause {
+    std::size_t begin = 0;  ///< offset into pool_
+    std::uint32_t size = 0;
+    bool alive = false;
+  };
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  void fail(const char* why);
+  bool store(ClauseId id, const std::vector<Lit>& lits);
+  bool refute(const std::vector<Lit>& lits,
+              const std::vector<ClauseId>& hints);
+  signed char value(Lit p) const;
+  void assign(Lit p);
+
+  std::vector<Lit> pool_;         ///< every clause's literals, back to back
+  std::vector<Clause> clauses_;   ///< indexed by id - 1
+  std::vector<std::uint32_t> stamp_;  ///< per var: epoch of its assignment
+  std::vector<signed char> val_;      ///< per var: +1 / -1 under stamp_
+  std::uint32_t epoch_ = 0;
+
+  std::string error_;
+  bool has_empty_ = false;
+  ClauseId last_lemma_ = 0;
+  std::size_t lemmas_ = 0;  ///< lemmas checked since the previous verdict
+  std::int64_t busy_ns_ = 0;
 };
-
-/// Reads a proof written by FileProofSink back into records. Throws
-/// ftl::Error on malformed input — a truncated clause (no terminating 0),
-/// a bad token, or trailing garbage all reject rather than silently
-/// shortening the proof.
-std::vector<ProofRecord> parse_drat_file(const std::string& path);
-
-struct DratCheckResult {
-  bool valid = false;
-  std::string error;  ///< empty when valid; first failure otherwise
-
-  std::size_t checked = 0;  ///< derived clauses RUP-verified (marked)
-  std::size_t skipped = 0;  ///< derived clauses never touched by the proof
-  double check_ms = 0.0;    ///< wall-clock of the check
-
-  /// Indices (into the proof's kInput records, in record order) of the
-  /// input clauses the verified derivation actually rests on — an UNSAT
-  /// core over the inputs, which the lattice audits map back to cells/rows.
-  std::vector<std::size_t> core_inputs;
-};
-
-/// Backward RUP checker over a recorded proof.
-///
-/// `final_clause` is the claim being certified: empty = the empty clause
-/// (plain UNSAT), otherwise the failed-assumption clause of an
-/// assumption-based UNSAT. The last kDerive record must equal it (sorted
-/// comparison), every marked derivation must be a reverse-unit-propagation
-/// consequence of the records before it, and any structural defect — a
-/// deletion naming an absent clause, no derivation at all — rejects.
-class DratChecker {
- public:
-  DratCheckResult check(const std::vector<ProofRecord>& records,
-                        const std::vector<Lit>& final_clause = {});
-
-  DratCheckResult check(const MemoryProof& proof,
-                        const std::vector<Lit>& final_clause = {}) {
-    return check(proof.records(), final_clause);
-  }
-};
-
-/// Convenience wrapper: checks the proof of `solver`'s most recent kFalse
-/// verdict (the failed-assumption clause when the solve used assumptions,
-/// the empty clause otherwise). Requires the solver to have been
-/// constructed with SolverOptions::certify.
-DratCheckResult check_solver_proof(const Solver& solver);
 
 }  // namespace ftl::sat

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 
 #include "ftl/sat/proof.hpp"
@@ -27,7 +28,7 @@ struct AtomicCounters {
   std::atomic<std::uint64_t> proof_clauses{0};
   std::atomic<std::uint64_t> proof_checks{0};
   std::atomic<std::uint64_t> proof_failures{0};
-  std::atomic<std::uint64_t> proof_check_us{0};
+  std::atomic<std::uint64_t> proof_check_ns{0};
 };
 
 AtomicCounters& counters() {
@@ -81,7 +82,8 @@ SatCounters sat_counters() {
   out.proof_clauses = c.proof_clauses.load(std::memory_order_relaxed);
   out.proof_checks = c.proof_checks.load(std::memory_order_relaxed);
   out.proof_failures = c.proof_failures.load(std::memory_order_relaxed);
-  out.proof_check_us = c.proof_check_us.load(std::memory_order_relaxed);
+  out.proof_check_us =
+      c.proof_check_ns.load(std::memory_order_relaxed) / 1000;
   return out;
 }
 
@@ -100,20 +102,12 @@ void reset_sat_counters() {
   c.proof_clauses.store(0, std::memory_order_relaxed);
   c.proof_checks.store(0, std::memory_order_relaxed);
   c.proof_failures.store(0, std::memory_order_relaxed);
-  c.proof_check_us.store(0, std::memory_order_relaxed);
+  c.proof_check_ns.store(0, std::memory_order_relaxed);
 }
 
 namespace detail {
 void count_cegar_round() {
   counters().cegar_rounds.fetch_add(1, std::memory_order_relaxed);
-}
-
-void count_proof_check(bool valid, double check_ms) {
-  AtomicCounters& c = counters();
-  c.proof_checks.fetch_add(1, std::memory_order_relaxed);
-  if (!valid) c.proof_failures.fetch_add(1, std::memory_order_relaxed);
-  c.proof_check_us.fetch_add(static_cast<std::uint64_t>(check_ms * 1000.0),
-                             std::memory_order_relaxed);
 }
 }  // namespace detail
 
@@ -123,12 +117,13 @@ struct Solver::Impl {
   struct Clause {
     bool learnt = false;
     double activity = 0.0;
+    ClauseId id = 0;  ///< proof id (0 unless logging)
     std::vector<Lit> lits;
   };
 
   explicit Impl(SolverOptions opts) : options(opts) {
     stats.seed = opts.seed;
-    if (opts.certify) memory_proof = std::make_unique<MemoryProof>();
+    if (opts.certify) checker = std::make_unique<LratChecker>();
   }
 
   // -- state ----------------------------------------------------------------
@@ -139,33 +134,134 @@ struct Solver::Impl {
   bool ok = true;
 
   // -- proof logging --------------------------------------------------------
+  //
+  // Everything here runs only while logging (certify or an attached sink),
+  // and none of it feeds back into the search.
 
-  std::unique_ptr<MemoryProof> memory_proof;  ///< certify's checkable log
-  ProofSink* extern_sink = nullptr;           ///< optional mirror (not owned)
+  std::unique_ptr<LratChecker> checker;  ///< certify's incremental checker
+  ProofSink* extern_sink = nullptr;      ///< optional mirror (not owned)
   ProofStats proof;
   std::uint64_t flushed_proof_clauses = 0;
-  std::unique_ptr<DratCheckResult> last_check;
+  std::unique_ptr<ProofCheckResult> last_check;
+  ClauseId last_id = 0;
+  /// Per var: id of a unit clause proving its level-0 value (0 = none).
+  std::vector<ClauseId> unit_id;
+  std::size_t level0_logged = 0;  ///< level-0 trail prefix with unit ids
+  std::vector<ClauseId> hints;    ///< hints of the next derivation
+  std::vector<const Clause*> chain;  ///< clauses a derivation resolves
+  std::vector<const Clause*> used;   ///< analyze(): conflict, then reasons
+  std::vector<char> hint_mark;       ///< per-var scratch
+  std::vector<Var> marked;           ///< vars to unmark in hint_mark
 
-  bool logging() const {
-    return memory_proof != nullptr || extern_sink != nullptr;
-  }
+  bool logging() const { return checker != nullptr || extern_sink != nullptr; }
 
-  void emit_input(const std::vector<Lit>& lits) {
+  ClauseId emit_input(const std::vector<Lit>& lits) {
     ++proof.inputs;
-    if (memory_proof) memory_proof->on_input(lits);
-    if (extern_sink != nullptr) extern_sink->on_input(lits);
+    const ClauseId id = ++last_id;
+    if (checker) checker->on_input(id, lits);
+    if (extern_sink != nullptr) extern_sink->on_input(id, lits);
+    return id;
   }
 
-  void emit_derive(const std::vector<Lit>& lits) {
+  /// Records `lits` as a lemma justified by the current `hints`.
+  ClauseId emit_derive(const std::vector<Lit>& lits) {
     ++proof.derived;
-    if (memory_proof) memory_proof->on_derive(lits);
-    if (extern_sink != nullptr) extern_sink->on_derive(lits);
+    const ClauseId id = ++last_id;
+    if (checker) checker->on_derive(id, lits, hints);
+    if (extern_sink != nullptr) extern_sink->on_derive(id, lits, hints);
+    return id;
   }
 
-  void emit_delete(const std::vector<Lit>& lits) {
+  void emit_delete(ClauseId id) {
     ++proof.deleted;
-    if (memory_proof) memory_proof->on_delete(lits);
-    if (extern_sink != nullptr) extern_sink->on_delete(lits);
+    if (checker) checker->on_delete(id);
+    if (extern_sink != nullptr) extern_sink->on_delete(id);
+  }
+
+  void grow_proof_scratch() {
+    if (unit_id.size() < assigns.size()) {
+      unit_id.resize(assigns.size(), 0);
+      hint_mark.resize(assigns.size(), 0);
+    }
+  }
+
+  /// Sets `hints` to the LRAT justification of resolving `chain` in order:
+  /// first a unit-clause id for every level-0 literal the chain's clauses
+  /// rely on (except `skip`), then the chain's own ids. Units come first
+  /// because they are unit under any assignment that leaves them open.
+  void hint_chain(Var skip = -1) {
+    hints.clear();
+    for (const Clause* c : chain) {
+      for (const Lit q : c->lits) {
+        const auto v = static_cast<std::size_t>(q.var());
+        if (level[v] != 0 || q.var() == skip || hint_mark[v] != 0) continue;
+        hint_mark[v] = 1;
+        marked.push_back(q.var());
+        hints.push_back(unit_id[v]);
+      }
+    }
+    for (const Var v : marked) hint_mark[static_cast<std::size_t>(v)] = 0;
+    marked.clear();
+    for (const Clause* c : chain) hints.push_back(c->id);
+  }
+
+  /// Derives a unit clause for every level-0 literal implied since the last
+  /// call, from its reason and the units of the reason's other literals, so
+  /// later derivations can cite a level-0 fact by one id.
+  void log_level0_units() {
+    grow_proof_scratch();
+    for (; level0_logged < trail.size(); ++level0_logged) {
+      const Lit p = trail[level0_logged];
+      const auto v = static_cast<std::size_t>(p.var());
+      if (unit_id[v] != 0) continue;  // an input or learnt unit
+      chain.assign(1, reason[v]);
+      hint_chain(p.var());
+      unit_id[v] = emit_derive({p});
+    }
+  }
+
+  /// The empty clause, from a clause falsified at level 0 (after
+  /// log_level0_units has covered the level-0 trail).
+  void log_empty_clause(const Clause* conflict_clause) {
+    chain.assign(1, conflict_clause);
+    hint_chain();
+    emit_derive({});
+  }
+
+  /// Records the caller's clause (sorted) as an input. When add_clause
+  /// stripped literals already false at level 0, the clause it keeps is a
+  /// lemma: the stripped literals' units make the input falsified. Returns
+  /// the id of `kept`.
+  ClauseId log_input(std::vector<Lit> given, const std::vector<Lit>& kept) {
+    grow_proof_scratch();
+    given.erase(std::unique(given.begin(), given.end()), given.end());
+    const ClauseId input = emit_input(given);
+    if (given.size() == kept.size()) return input;
+    hints.clear();
+    for (const Lit q : given) {
+      if (value(q) == LBool::kFalse) {
+        hints.push_back(unit_id[static_cast<std::size_t>(q.var())]);
+      }
+    }
+    hints.push_back(input);
+    return emit_derive(kept);
+  }
+
+  /// The checker's final step on the kFalse just reached: the empty clause,
+  /// or the failed-assumption clause in `conflict`.
+  void certify_verdict() {
+    if (!last_check) last_check = std::make_unique<ProofCheckResult>();
+    *last_check = checker->verdict(conflict);
+    ++proof.checks;
+    AtomicCounters& c = counters();
+    c.proof_checks.fetch_add(1, std::memory_order_relaxed);
+    if (!last_check->valid) {
+      ++proof.failures;
+      c.proof_failures.fetch_add(1, std::memory_order_relaxed);
+    }
+    c.proof_check_ns.fetch_add(
+        static_cast<std::uint64_t>(std::llround(last_check->check_ms * 1e6)),
+        std::memory_order_relaxed);
   }
 
   /// One watch-list entry: the watching clause plus a "blocker" literal —
@@ -428,9 +524,12 @@ struct Solver::Impl {
     int path_count = 0;
     Lit p{-2};
     int index = static_cast<int>(trail.size()) - 1;
+    const bool log = logging();
+    if (log) used.clear();
     do {
       Clause& c = *conflict_clause;
       if (c.learnt) bump_clause(c);
+      if (log) used.push_back(&c);
       // Skip slot 0 on reason clauses: it holds the resolved pivot itself.
       for (std::size_t k = p.defined() ? 1 : 0; k < c.lits.size(); ++k) {
         const Lit q = c.lits[k];
@@ -490,11 +589,47 @@ struct Solver::Impl {
       std::swap(out_learnt[1], out_learnt[max_i]);
       out_btlevel = level[static_cast<std::size_t>(out_learnt[1].var())];
     }
+    if (log) hint_learnt(out_learnt);
     // Clear from the pre-minimization snapshot plus lit_redundant's marks —
     // out_learnt alone would leave dropped literals' seen bits set.
     for (const Lit q : analyze_toclear) {
       seen[static_cast<std::size_t>(q.var())] = 0;
     }
+  }
+
+  /// LRAT hints of a learnt clause, in trail order under its negation: the
+  /// reasons of the literals minimization dropped and of the intermediates
+  /// lit_redundant walked (all below the conflict level), then the reasons
+  /// resolved at the conflict level, last resolved first, then the conflict
+  /// clause. Reads analyze()'s state before its seen marks are cleared:
+  /// analyze_toclear holds the pre-minimization clause followed by the
+  /// intermediates of every successful lit_redundant call.
+  void hint_learnt(const std::vector<Lit>& learnt) {
+    grow_proof_scratch();
+    for (const Lit q : learnt) hint_mark[static_cast<std::size_t>(q.var())] = 1;
+    int low = decision_level();
+    for (std::size_t k = 1; k < analyze_toclear.size(); ++k) {
+      const auto v = static_cast<std::size_t>(analyze_toclear[k].var());
+      if (hint_mark[v] != 0) continue;  // kept in the clause
+      hint_mark[v] = 2;
+      low = std::min(low, level[v]);
+    }
+    chain.clear();
+    if (low < decision_level()) {
+      const auto from = static_cast<std::size_t>(
+          trail_lim[static_cast<std::size_t>(low - 1)]);
+      const auto to = static_cast<std::size_t>(trail_lim.back());
+      for (std::size_t i = from; i < to; ++i) {
+        const auto v = static_cast<std::size_t>(trail[i].var());
+        if (hint_mark[v] == 2) chain.push_back(reason[v]);
+      }
+    }
+    for (const Lit q : analyze_toclear) {
+      hint_mark[static_cast<std::size_t>(q.var())] = 0;
+    }
+    chain.insert(chain.end(), used.rbegin(), used.rend() - 1);
+    chain.push_back(used.front());
+    hint_chain();
   }
 
   /// One-hot abstraction of a variable's decision level (MiniSat's
@@ -548,7 +683,12 @@ struct Solver::Impl {
   void analyze_final(Lit p) {
     conflict.clear();
     conflict.push_back(p);
-    if (decision_level() == 0) return;
+    const bool log = logging();
+    if (log) chain.clear();
+    if (decision_level() == 0) {
+      if (log) log_failed_clause(p);
+      return;
+    }
     seen[static_cast<std::size_t>(p.var())] = 1;
     for (int i = static_cast<int>(trail.size()) - 1;
          i >= trail_lim[0]; --i) {
@@ -559,6 +699,7 @@ struct Solver::Impl {
         conflict.push_back(~trail[static_cast<std::size_t>(i)]);
       } else {
         const Clause& c = *reason[xi];
+        if (log) chain.push_back(&c);
         for (std::size_t k = 1; k < c.lits.size(); ++k) {
           const auto v = static_cast<std::size_t>(c.lits[k].var());
           if (level[v] > 0) seen[v] = 1;
@@ -567,19 +708,37 @@ struct Solver::Impl {
       seen[xi] = 0;
     }
     seen[static_cast<std::size_t>(p.var())] = 0;
+    if (log) log_failed_clause(p);
+  }
+
+  /// Records analyze_final's clause as a lemma. Its hints are the reasons
+  /// the walk visited (collected in `chain`, newest first) in trail order:
+  /// under the assumptions each is unit, and the last, the reason of p, is
+  /// falsified by ~p. A p fixed at level 0 is refuted by its unit alone.
+  void log_failed_clause(Lit p) {
+    grow_proof_scratch();
+    if (level[static_cast<std::size_t>(p.var())] == 0) {
+      hints.assign(1, unit_id[static_cast<std::size_t>(p.var())]);
+    } else {
+      std::reverse(chain.begin(), chain.end());
+      hint_chain();
+    }
+    emit_derive(conflict);
   }
 
   void record_learnt(std::vector<Lit> lits, int btlevel) {
     ++stats.learned_clauses;
     stats.learned_literals += lits.size();
-    if (logging()) emit_derive(lits);
+    const ClauseId id = logging() ? emit_derive(lits) : 0;
     cancel_until(btlevel);
     if (lits.size() == 1) {
+      if (id != 0) unit_id[static_cast<std::size_t>(lits[0].var())] = id;
       enqueue(lits[0], nullptr);
       return;
     }
     auto clause = std::make_unique<Clause>();
     clause->learnt = true;
+    clause->id = id;
     clause->lits = std::move(lits);
     bump_clause(*clause);
     attach(clause.get());
@@ -604,7 +763,7 @@ struct Solver::Impl {
     for (std::size_t i = 0; i < learnts.size(); ++i) {
       Clause* c = learnts[i].get();
       if (dropped < target && c->lits.size() > 2 && !locked(c)) {
-        if (logging()) emit_delete(c->lits);
+        if (logging()) emit_delete(c->id);
         detach(c);
         ++dropped;
         ++stats.deleted_clauses;
@@ -635,11 +794,12 @@ struct Solver::Impl {
     std::vector<Lit> learnt;
     for (;;) {
       Clause* conflict_clause = propagate();
+      if (decision_level() == 0 && logging()) log_level0_units();
       if (conflict_clause != nullptr) {
         ++stats.conflicts;
         ++local_conflicts;
         if (decision_level() == 0) {
-          if (logging()) emit_derive({});
+          if (logging()) log_empty_clause(conflict_clause);
           ok = false;
           return LBool::kFalse;
         }
@@ -770,25 +930,25 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     if (im.value(p) == LBool::kFalse) continue;         // already falsified
     out.push_back(p);
   }
-  // Record the canonicalized clause as a proof input. Every stripped
-  // level-0 literal is justified by a previously recorded unit, so the
-  // recorded formula is a consequence of the original and UNSAT of the
-  // recorded clauses implies UNSAT of what the caller supplied.
-  if (im.logging()) im.emit_input(out);
+  const ClauseId id = im.logging() ? im.log_input(std::move(lits), out) : 0;
   if (out.empty()) {
     im.ok = false;
     return false;
   }
   if (out.size() == 1) {
+    if (id != 0) im.unit_id[static_cast<std::size_t>(out[0].var())] = id;
     im.enqueue(out[0], nullptr);
-    if (im.propagate() != nullptr) {
-      if (im.logging()) im.emit_derive({});
+    Impl::Clause* conflict_clause = im.propagate();
+    if (im.logging()) im.log_level0_units();
+    if (conflict_clause != nullptr) {
+      if (im.logging()) im.log_empty_clause(conflict_clause);
       im.ok = false;
       return false;
     }
     return true;
   }
   auto clause = std::make_unique<Impl::Clause>();
+  clause->id = id;
   clause->lits = std::move(out);
   im.attach(clause.get());
   im.clauses.push_back(std::move(clause));
@@ -804,12 +964,7 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
   im.conflict.clear();
   if (!im.ok) {
     im.flush_counters(LBool::kFalse);
-    if (im.options.certify && im.memory_proof) {
-      ++im.proof.checks;
-      im.last_check = std::make_unique<DratCheckResult>(
-          DratChecker().check(*im.memory_proof));
-      if (!im.last_check->valid) ++im.proof.failures;
-    }
+    if (im.checker) im.certify_verdict();
     return LBool::kFalse;
   }
   if (im.max_learnts == 0) {
@@ -836,20 +991,8 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
     im.model = im.assigns;
   }
   im.cancel_until(0);
-  // An assumption-based UNSAT ends the proof with the failed-assumption
-  // clause (¬a₁ ∨ … ∨ ¬aₖ); it is RUP at this point because propagating
-  // the assumptions alone reaches the recorded conflict. Plain UNSAT paths
-  // already emitted the empty clause at the level-0 conflict.
-  if (status == LBool::kFalse && !im.conflict.empty() && im.logging()) {
-    im.emit_derive(im.conflict);
-  }
   im.flush_counters(status);
-  if (status == LBool::kFalse && im.options.certify && im.memory_proof) {
-    ++im.proof.checks;
-    im.last_check = std::make_unique<DratCheckResult>(
-        DratChecker().check(*im.memory_proof, im.conflict));
-    if (!im.last_check->valid) ++im.proof.failures;
-  }
+  if (status == LBool::kFalse && im.checker) im.certify_verdict();
   return status;
 }
 
@@ -876,11 +1019,7 @@ void Solver::set_max_conflicts(std::int64_t budget) {
 
 void Solver::set_proof_sink(ProofSink* sink) { impl_->extern_sink = sink; }
 
-const MemoryProof* Solver::proof_log() const {
-  return impl_->memory_proof.get();
-}
-
-const DratCheckResult* Solver::last_proof_check() const {
+const ProofCheckResult* Solver::last_proof_check() const {
   return impl_->last_check.get();
 }
 

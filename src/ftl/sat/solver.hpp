@@ -61,11 +61,14 @@ struct SolverOptions {
   /// walk; disable only for differential testing against the raw first-UIP
   /// clauses (verdicts are identical either way).
   bool minimize_learnts = true;
-  /// Log a DRAT proof (inputs, learnt clauses, deletions) into an in-memory
-  /// sink and run the embedded DratChecker on every kFalse verdict, making
-  /// each UNSAT answer machine-checked instead of trusted. The verdict is
-  /// available via last_proof_check(). Logging costs one clause copy per
-  /// learnt clause; checking is backward RUP over the marked cone.
+  /// Log an LRAT proof into the solver's own LratChecker (sat/proof.hpp),
+  /// making every UNSAT answer machine-checked instead of trusted. Each
+  /// learnt clause carries the ids of the clauses conflict analysis
+  /// resolved, and the checker verifies it once, on arrival, by unit
+  /// propagation over those clauses alone; a kFalse verdict then costs one
+  /// final hinted step, whatever the solver answered before. The verdict is
+  /// available via last_proof_check(). Search, models and SolveStats are
+  /// identical with certify on or off.
   bool certify = false;
 };
 
@@ -89,15 +92,14 @@ struct SolveStats {
 /// sink is attached or SolverOptions::certify is set).
 struct ProofStats {
   std::uint64_t inputs = 0;    ///< input clauses recorded
-  std::uint64_t derived = 0;   ///< learnt/final clauses recorded
+  std::uint64_t derived = 0;   ///< lemmas recorded (learnt, unit, final)
   std::uint64_t deleted = 0;   ///< deletions recorded
   std::uint64_t checks = 0;    ///< auto-checks run on kFalse verdicts
   std::uint64_t failures = 0;  ///< auto-checks that rejected the proof
 };
 
 class ProofSink;
-class MemoryProof;
-struct DratCheckResult;
+struct ProofCheckResult;
 
 class Solver {
  public:
@@ -143,19 +145,16 @@ class Solver {
   /// Replaces the per-solve conflict budget (see SolverOptions).
   void set_max_conflicts(std::int64_t budget);
 
-  /// Mirrors proof events (inputs/derivations/deletions) into an external
-  /// sink — e.g. a FileProofSink streaming DRAT text — in addition to the
-  /// in-memory log certify maintains. Must be attached before the first
+  /// Mirrors the LRAT proof events (inputs, hinted derivations, deletions)
+  /// into an external sink, e.g. a MemoryProof to replay into a fresh
+  /// checker, with or without certify. Must be attached before the first
   /// add_clause; pass nullptr to detach. Not owned.
   void set_proof_sink(ProofSink* sink);
 
-  /// The in-memory proof log, or nullptr when SolverOptions::certify is off.
-  const MemoryProof* proof_log() const;
-
-  /// Verdict of the automatic proof check run on the most recent kFalse
-  /// result (certify only; nullptr before the first UNSAT). The result
-  /// carries the checker verdict, timing, and the input-clause UNSAT core.
-  const DratCheckResult* last_proof_check() const;
+  /// Verdict of the proof check run on the most recent kFalse result
+  /// (certify only; nullptr before the first UNSAT): validity, the first
+  /// error, and the checker time and lemmas since the previous verdict.
+  const ProofCheckResult* last_proof_check() const;
 
   const ProofStats& proof_stats() const;
 
@@ -185,9 +184,10 @@ struct SatCounters {
   std::uint64_t minimized_literals = 0;  ///< dropped by clause minimization
   std::uint64_t cegar_rounds = 0;  ///< refinement rounds (lattice::synth_sat)
   std::uint64_t proof_clauses = 0;   ///< derived clauses logged to proofs
-  std::uint64_t proof_checks = 0;    ///< DratChecker runs
-  std::uint64_t proof_failures = 0;  ///< DratChecker rejections
-  std::uint64_t proof_check_us = 0;  ///< cumulative checker wall-clock (µs)
+  std::uint64_t proof_checks = 0;    ///< certified kFalse verdicts
+  std::uint64_t proof_failures = 0;  ///< ... whose proof was rejected
+  /// Cumulative checker wall-clock (µs), summed in nanoseconds.
+  std::uint64_t proof_check_us = 0;
 };
 
 /// Snapshot of the process-wide counters.
@@ -199,8 +199,6 @@ void reset_sat_counters();
 namespace detail {
 /// Accounting hook for CEGAR drivers (relaxed atomic increment).
 void count_cegar_round();
-/// Accounting hook for DratChecker runs (relaxed atomic increments).
-void count_proof_check(bool valid, double check_ms);
 }  // namespace detail
 
 }  // namespace ftl::sat

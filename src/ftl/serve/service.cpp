@@ -333,7 +333,7 @@ JsonValue handle_synth_sat(const JsonValue& req, const Deadline& deadline,
   body.set("proven_infeasible", JsonValue::boolean(result.proven_infeasible));
   body.set("budget_exhausted", JsonValue::boolean(result.budget_exhausted));
   // Under "certify", an infeasibility verdict carries its proof status:
-  // "checked" when the final UNSAT's DRAT derivation passed the embedded
+  // "checked" when the final UNSAT's LRAT derivation passed the embedded
   // checker, "failed" when it was rejected (treat the verdict as unproven).
   if (synth_req.sat.certify && result.proven_infeasible) {
     const bool valid = result.sat && result.sat->proof_valid;
@@ -665,7 +665,7 @@ JsonValue handle_lint(const JsonValue& req, const Deadline& deadline) {
   JsonValue body = body_for("lint");
   body.set("report", report_json(report));
   // Certified lattice lints state the proof status: every UNSAT verdict
-  // passed the embedded DRAT checker ("checked") or at least one was
+  // passed the embedded LRAT checker ("checked") or at least one was
   // rejected ("failed" — the report then carries FTL-E003).
   if (certified_lint) {
     bool failed = false;

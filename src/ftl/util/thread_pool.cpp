@@ -1,5 +1,6 @@
 #include "ftl/util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -152,11 +153,14 @@ std::size_t ThreadPool::active_tasks() const {
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
+                              const std::function<void(std::size_t)>& fn,
+                              std::size_t max_threads) {
   if (count == 0) return;
-  // Serial fast paths: tiny jobs, a single-thread pool, or a nested call
-  // from inside a task (running inline avoids self-deadlock).
-  if (count == 1 || impl_->workers.empty() || t_inside_pool_task) {
+  // Serial fast paths: tiny jobs, a cap of one thread, a single-thread
+  // pool, or a nested call from inside a task (running inline avoids
+  // self-deadlock).
+  if (count == 1 || max_threads == 1 || impl_->workers.empty() ||
+      t_inside_pool_task) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -168,7 +172,10 @@ void ThreadPool::parallel_for(std::size_t count,
     impl_->count = count;
     impl_->next.store(0, std::memory_order_relaxed);
     impl_->joined = 0;
-    impl_->max_extra = impl_->workers.size();
+    // The caller is one of the `max_threads`.
+    impl_->max_extra = max_threads == 0
+                           ? impl_->workers.size()
+                           : std::min(impl_->workers.size(), max_threads - 1);
     impl_->error = nullptr;
     ++impl_->generation;
   }
@@ -198,11 +205,7 @@ ThreadPool& ThreadPool::global() {
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t max_threads) {
-  if (max_threads == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  ThreadPool::global().parallel_for(count, fn);
+  ThreadPool::global().parallel_for(count, fn, max_threads);
 }
 
 }  // namespace ftl::util

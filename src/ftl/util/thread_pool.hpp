@@ -37,11 +37,14 @@ class ThreadPool {
   std::size_t active_tasks() const;
 
   /// Runs fn(i) for every i in [0, count), fanning indices across the
-  /// workers, and blocks until all complete. The first exception thrown by
-  /// any task is rethrown here after the job drains. Nested calls from
-  /// inside a task run inline (serially) to avoid deadlock.
+  /// workers, and blocks until all complete. `max_threads` caps the threads
+  /// working on the job, the caller included (0 = no cap; 1 = serial on the
+  /// caller, in index order). The first exception thrown by any task is
+  /// rethrown here after the job drains. Nested calls from inside a task
+  /// run inline (serially) to avoid deadlock.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
+                    const std::function<void(std::size_t)>& fn,
+                    std::size_t max_threads = 0);
 
   /// Schedules `fn` to run on a pool worker and returns a future for its
   /// result. Exceptions thrown by the task are captured in the future. A
@@ -71,8 +74,8 @@ class ThreadPool {
 };
 
 /// Convenience wrapper over ThreadPool::global(). `max_threads` caps the
-/// effective parallelism for this job (0 = no cap); with a cap of 1 the loop
-/// runs serially on the calling thread.
+/// threads working on this job, the caller included (0 = no cap); with a
+/// cap of 1 the loop runs serially on the calling thread.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   std::size_t max_threads = 0);
 

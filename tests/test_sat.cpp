@@ -156,8 +156,9 @@ TEST(SatSolver, MinimizationShortensPigeonholeLearntClauses) {
 }
 
 TEST(SatSolver, MinimizedClausesStillCertifyUnderDrat) {
-  // Dropping literals keeps each learnt clause RUP (it subsumes the raw
-  // first-UIP clause), so the self-check must accept the minimized proof.
+  // A minimized learnt clause is hinted with the reasons lit_redundant
+  // walked on top of the resolution chain, so the checker must accept
+  // every minimized lemma.
   SolverOptions options;
   options.minimize_learnts = true;
   options.certify = true;
@@ -165,7 +166,7 @@ TEST(SatSolver, MinimizedClausesStillCertifyUnderDrat) {
   add_pigeonhole(solver, 4);
   EXPECT_EQ(solver.solve(), LBool::kFalse);
   EXPECT_GT(solver.stats().minimized_literals, 0u);
-  const ftl::sat::DratCheckResult* check = solver.last_proof_check();
+  const ftl::sat::ProofCheckResult* check = solver.last_proof_check();
   ASSERT_NE(check, nullptr);
   EXPECT_TRUE(check->valid) << check->error;
   EXPECT_EQ(solver.proof_stats().failures, 0u);

@@ -249,7 +249,7 @@ TEST(SmallestLattice, MatchesTheOracleOnEveryThreeVarFunction) {
 
 TEST(SmallestLattice, CertifiesThatXor3NeedsNineCells) {
   // Fig. 3's claim as a checked proof: all 20 shapes below 9 cells are
-  // infeasible with DRAT proofs the embedded checker accepts, and the
+  // infeasible with proofs the embedded checker accepts, and the
   // ladder finds a 3×3 lattice (1×9, the first 9-cell shape, is infeasible).
   SatSynthesisOptions options;
   options.certify = true;
@@ -390,7 +390,7 @@ TEST(SatSynthesis, SymmetryBreakingPreservesEveryVerdict) {
 
 TEST(SatSynthesis, CertifiedInfeasibilityChecksTheDratProof) {
   // XOR3 at 2×3 is the paper's infeasible shape; with certify the final
-  // UNSAT must come back through the embedded DRAT checker accepted.
+  // UNSAT must come back through the embedded proof checker accepted.
   SatSynthesisOptions options;
   options.certify = true;
   const SatSynthesisResult result = synth_sat(xor_n(3), 2, 3, options);

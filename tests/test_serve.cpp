@@ -678,7 +678,7 @@ TEST(ServeProtocol, LintCertifyAuditsTheLatticeAndReportsProofStatus) {
   Service service({.workers = 1});
   // A 2x1 column [a; a]: row 1 is certifiably removable (FTL-L006) and the
   // 1x1 lattice realizing the same function is found (FTL-L008). Every
-  // UNSAT behind those findings passes the DRAT checker -> "checked".
+  // UNSAT behind those findings passes the LRAT checker -> "checked".
   const JsonValue r = reply(
       service,
       R"({"op":"lint","rows":2,"cols":1,"vars":["a"],"cells":["a","a"],)"

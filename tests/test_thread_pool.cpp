@@ -1,9 +1,12 @@
 // Thread pool: full index coverage, exception propagation, nested calls,
-// and the serial escape hatch.
+// the serial escape hatch, and the per-job thread cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ftl/util/thread_pool.hpp"
@@ -39,6 +42,44 @@ TEST(ThreadPool, SerialWhenMaxThreadsIsOne) {
       10, [&](std::size_t i) { order.push_back(i); }, 1);
   ASSERT_EQ(order.size(), 10u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+/// Peak number of fn calls running at once over `count` 1 ms tasks.
+int peak_concurrency(
+    const std::function<void(std::size_t,
+                             const std::function<void(std::size_t)>&)>& run,
+    std::size_t count) {
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  run(count, [&](std::size_t) {
+    const int now = ++running;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    --running;
+  });
+  return peak.load();
+}
+
+TEST(ThreadPool, MaxThreadsCapsConcurrency) {
+  // A cap above one still bounds the job: the caller plus at most
+  // max_threads - 1 workers, however large the pool.
+  util::ThreadPool pool(4);
+  const int pooled = peak_concurrency(
+      [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
+        pool.parallel_for(n, fn, 2);
+      },
+      64);
+  EXPECT_GE(pooled, 1);
+  EXPECT_LE(pooled, 2);
+  const int global = peak_concurrency(
+      [](std::size_t n, const std::function<void(std::size_t)>& fn) {
+        util::parallel_for(n, fn, 2);
+      },
+      64);
+  EXPECT_GE(global, 1);
+  EXPECT_LE(global, 2);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 
 #include "ftl/util/csv.hpp"
 #include "ftl/util/error.hpp"
@@ -26,6 +27,10 @@ struct SuffixCase {
   const char* text;
   double expected;
 };
+
+// Without a printer gtest dumps the struct's raw bytes, the text pointer
+// included, and the registered test names would change from build to build.
+void PrintTo(const SuffixCase& c, std::ostream* os) { *os << c.text; }
 
 class UnitsSuffix : public ::testing::TestWithParam<SuffixCase> {};
 
