@@ -1,32 +1,36 @@
-// Batched corner engine vs the per-trial baseline: the same Monte-Carlo
-// yield sweeps run through both bridge::monte_carlo_yield engines, plus the
-// Fig. 12a chain sweep through chain_current_batch vs per-point calls.
+// Corner batches vs the per-trial baseline: the same Monte-Carlo yield
+// sweeps run through bridge::monte_carlo_yield (every input code's trials
+// solved as corners of one spice::dcop_batch on a shared, retuned circuit)
+// and through the test suite's per-trial oracle (tests/variability_oracle.hpp:
+// a fresh netlist and standalone dc_operating_point per trial and code),
+// plus the Fig. 12a chain sweep through chain_current_batch vs per-point
+// calls.
 //
 // Built-in gates decide the exit code:
-//  - identity: for every row the two engines must agree EXACTLY — same
-//    trials, passing count, worst_low and worst_high bit for bit (the
-//    batched engine's contract is bitwise equality, not statistical
-//    agreement), and the multi-threaded batched run must match the serial
-//    batched run byte for byte;
-//  - symbolic amortization (full runs only): the tentpole promise is "one
-//    symbolic factorization, K numeric corners", so every MC row must show
-//    the batched engine performing >= 3x fewer symbolic LU analyses per
-//    solve than the per-trial path (measured from the engine counters; in
-//    practice the factor is ~10-100x — one analysis per (chunk, code)
-//    against one per (trial, code));
+//  - identity: for every row the two paths must agree EXACTLY — same
+//    trials, passing count, worst_low and worst_high bit for bit (a corner
+//    batch's contract is bitwise equality, not statistical agreement), and
+//    the multi-threaded batched run must match the serial batched run byte
+//    for byte;
+//  - symbolic amortization (full runs only): the promise is "one symbolic
+//    factorization, K numeric corners", so every MC row must show the
+//    batched path performing >= 3x fewer symbolic LU analyses than the
+//    per-trial path (measured from the engine counters; one analysis per
+//    worker chunk, plus a re-pivot per rejected replay, against one per
+//    (trial, code));
 //  - wall clock (full runs only): aggregate MC wall-clock must stay >=
 //    1.1x over the per-trial path. The wall gate is deliberately below
 //    the amortization gate: the bitwise contract pins every Newton
-//    iteration's assemble/refactor/solve to identical work in both
-//    engines, and on these MOSFET lattices the iterations are ~75% of the
-//    per-trial runtime (the level-1 model's hard cutoff parks floating
-//    internal nodes on a pinch-off double root, so Newton converges
-//    linearly at ratio 1/2 for tens of iterations). The batched engine
-//    recovers essentially all of the remaining ~25% — netlist builds, node
-//    numbering, sparsity-pattern discovery, symbolic analysis — which
-//    measures 1.2-1.4x here, and more on the setup-heavier chain sweeps.
-//    --quick rows are a few ms and timer jitter dominates, so the smoke
-//    run keeps only the identity gates.
+//    iteration's assemble/refactor/solve to identical work on both paths,
+//    and on these MOSFET lattices the iterations are ~75% of the per-trial
+//    runtime (the level-1 model's hard cutoff parks floating internal
+//    nodes on a pinch-off double root, so Newton converges linearly at
+//    ratio 1/2 for tens of iterations). Batching recovers essentially all
+//    of the remaining ~25% — netlist builds, node numbering,
+//    sparsity-pattern discovery, symbolic analysis — which measures
+//    1.2-1.4x here, and more on the setup-heavier chain sweeps. --quick
+//    rows are a few ms and timer jitter dominates, so the smoke run keeps
+//    only the identity gates.
 //
 //   bench_spice_batch [out.json] [--quick]
 
@@ -42,9 +46,10 @@
 #include "ftl/lattice/known_mappings.hpp"
 #include "ftl/lattice/synthesis.hpp"
 #include "ftl/logic/expr_parser.hpp"
-#include "ftl/spice/batch.hpp"
+#include "ftl/spice/dcop.hpp"
 #include "ftl/spice/linear_solver.hpp"
 #include "ftl/util/table.hpp"
+#include "variability_oracle.hpp"
 
 namespace {
 
@@ -64,8 +69,8 @@ struct McRow {
   double batched_s = 0.0;
   double yield = 0.0;
   double speedup = 0.0;
-  std::uint64_t sym_per_trial = 0;  // symbolic LU analyses, per-trial engine
-  std::uint64_t sym_batched = 0;    // symbolic LU analyses, batched engine
+  std::uint64_t sym_per_trial = 0;  // symbolic LU analyses, per-trial oracle
+  std::uint64_t sym_batched = 0;    // symbolic LU analyses, corner batches
   double amortization = 0.0;        // sym_per_trial / sym_batched
   bool ok = true;
 };
@@ -77,30 +82,26 @@ McRow run_mc_row(const std::string& name, const ftl::lattice::Lattice& lat,
   row.name = name;
   row.trials = trials;
 
-  ftl::bridge::VariabilityOptions base;
-  base.sigma_vth = sigma_vth;
-  base.sigma_kp_rel = 0.05;
-  base.trials = trials;
-  base.seed = 7;
-  base.max_threads = 1;  // single-threaded on both sides: a fair engine race
+  ftl::bridge::VariabilityOptions options;
+  options.sigma_vth = sigma_vth;
+  options.sigma_kp_rel = 0.05;
+  options.trials = trials;
+  options.seed = 7;
+  options.max_threads = 1;  // single-threaded on both sides: a fair race
 
-  ftl::bridge::VariabilityOptions per_trial = base;
-  per_trial.engine = ftl::bridge::VariabilityEngine::kPerTrial;
   ftl::spice::reset_spice_counters();
   auto start = Clock::now();
   const ftl::bridge::VariabilityResult a =
-      ftl::bridge::monte_carlo_yield(lat, target, per_trial);
+      ftl::oracle::per_trial_yield(lat, target, options);
   row.per_trial_s = seconds_since(start);
   // Every fresh MnaLinearSolver's first factor() is a full symbolic
   // analysis — one per (trial, code) solve on the per-trial path.
   row.sym_per_trial = ftl::spice::spice_counters().factors;
 
-  ftl::bridge::VariabilityOptions batched = base;
-  batched.engine = ftl::bridge::VariabilityEngine::kBatched;
   ftl::spice::reset_batch_counters();
   start = Clock::now();
   const ftl::bridge::VariabilityResult b =
-      ftl::bridge::monte_carlo_yield(lat, target, batched);
+      ftl::bridge::monte_carlo_yield(lat, target, options);
   row.batched_s = seconds_since(start);
   row.sym_batched = ftl::spice::batch_counters().symbolic_factors;
 
@@ -115,7 +116,7 @@ McRow run_mc_row(const std::string& name, const ftl::lattice::Lattice& lat,
   if (a.trials != b.trials || a.passing != b.passing ||
       a.worst_low != b.worst_low || a.worst_high != b.worst_high) {
     std::fprintf(stderr,
-                 "FAIL: %s: engines disagree (per-trial %d/%d low=%.17g "
+                 "FAIL: %s: paths disagree (per-trial %d/%d low=%.17g "
                  "high=%.17g, batched %d/%d low=%.17g high=%.17g)\n",
                  name.c_str(), a.passing, a.trials, a.worst_low, a.worst_high,
                  b.passing, b.trials, b.worst_low, b.worst_high);
@@ -124,7 +125,7 @@ McRow run_mc_row(const std::string& name, const ftl::lattice::Lattice& lat,
 
   // Thread-count invariance: contiguous chunks reduce in trial order, so a
   // 3-way split must reproduce the serial batched result byte for byte.
-  ftl::bridge::VariabilityOptions threaded = batched;
+  ftl::bridge::VariabilityOptions threaded = options;
   threaded.max_threads = 3;
   const ftl::bridge::VariabilityResult c =
       ftl::bridge::monte_carlo_yield(lat, target, threaded);

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "ftl/spice/batch.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/sources.hpp"
 #include "ftl/util/error.hpp"
@@ -87,11 +86,11 @@ double voltage_for_current(int count, double target_current, double v_max,
                            const SwitchModelParams& params) {
   FTL_EXPECTS(target_current > 0.0 && v_max > 0.0);
   // The bisection is inherently sequential (each probe depends on the last
-  // bracket), so it can't batch across lanes — but one circuit serves all
-  // probes: retune the two sources in place and let the circuit's solver
-  // reuse its cached pattern and symbolic analysis across the 61 solves.
-  // Fresh-build and retuned circuits assemble bitwise-identical matrices,
-  // so the bracket sequence matches the per-point path exactly.
+  // bracket), so its probes cannot be laid out as one batch up front — but
+  // it retunes one circuit exactly as dcop_batch does, so the circuit's
+  // solver reuses its cached pattern and symbolic analysis across the 61
+  // solves. Fresh-build and retuned circuits assemble bitwise-identical
+  // matrices, so the bracket sequence matches the per-point path exactly.
   ChainCircuit chain = build_switch_chain(count, v_max, v_max, params);
   auto& supply = dynamic_cast<spice::VoltageSource&>(
       chain.circuit.device(chain.supply_source));

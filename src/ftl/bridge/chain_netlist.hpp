@@ -31,7 +31,7 @@ double chain_current(int count, double supply_voltage, double gate_voltage,
 
 /// All Fig. 12a points of one chain length in a single shot: one circuit,
 /// one symbolic LU analysis, lane k solved at (supply_voltages[k],
-/// gate_voltages[k]) through spice::BatchSolver. Bitwise identical to
+/// gate_voltages[k]) as a corner of spice::dcop_batch. Bitwise identical to
 /// calling chain_current per point; throws (like chain_current) if any
 /// point fails to converge. The two vectors must have equal, nonzero size.
 std::vector<double> chain_current_batch(

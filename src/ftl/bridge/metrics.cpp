@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ftl/spice/batch.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/measure.hpp"
 #include "ftl/spice/transient.hpp"
@@ -29,8 +28,8 @@ GateMetrics measure_gate(const GateBuilder& build, const logic::TruthTable& f,
   m.switch_count = switch_count;
 
   // ---- Static characterization: one DC operating point per code ----------
-  // All 2^n bias cases run as lanes of one BatchSolver over a single built
-  // circuit: one symbolic LU analysis, retuned input drives per lane —
+  // All 2^n bias cases run as corners of one dcop_batch over a single built
+  // circuit: one symbolic LU analysis, retuned input drives per corner —
   // bitwise identical to building and solving each code standalone.
   m.functional = true;
   m.output_low_max = 0.0;

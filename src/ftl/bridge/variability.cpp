@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ftl/spice/batch.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/mosfet.hpp"
 #include "ftl/spice/sources.hpp"
@@ -35,8 +33,7 @@ struct TrialOutcome {
 };
 
 /// One fixed perturbation per switch site for one trial — its own RNG
-/// stream, per-cell Vth draw then Kp draw. Shared by both engines so their
-/// dice are literally the same.
+/// stream, per-cell Vth draw then Kp draw.
 void trial_perturbations(const lattice::Lattice& lattice,
                          const VariabilityOptions& options, std::size_t trial,
                          std::vector<double>& dvth, std::vector<double>& dkp) {
@@ -51,86 +48,21 @@ void trial_perturbations(const lattice::Lattice& lattice,
   }
 }
 
-/// The PR 1 engine: fresh netlist + standalone solve per (trial, code).
-void run_per_trial(const lattice::Lattice& lattice,
-                   const logic::TruthTable& target,
-                   const VariabilityOptions& options,
-                   std::vector<TrialOutcome>& outcomes) {
-  const double vdd = options.circuit.vdd;
-  const double v_low_limit = options.low_fraction * vdd;
-  const double v_high_limit = options.high_fraction * vdd;
-
-  // Each trial is an independent die: its own RNG stream (derived from the
-  // global seed and the trial index, NOT a shared sequential stream) and its
-  // own result slot. That makes the outcome a pure function of (options,
-  // lattice, target) — identical whether the trials run serially or fanned
-  // across the thread pool in any schedule.
-  util::parallel_for(
-      static_cast<std::size_t>(options.trials),
-      [&](std::size_t trial) {
-        std::vector<double> dvth, dkp;
-        trial_perturbations(lattice, options, trial, dvth, dkp);
-
-        LatticeCircuitOptions circuit_options = options.circuit;
-        circuit_options.switch_param_fn =
-            [&](int row, int col, const SwitchModelParams& nominal) {
-              SwitchModelParams p = nominal;
-              const std::size_t i =
-                  static_cast<std::size_t>(row * lattice.cols() + col);
-              p.vth = nominal.vth + dvth[i];
-              p.kp = nominal.kp * dkp[i];
-              return p;
-            };
-
-        TrialOutcome& outcome = outcomes[trial];
-        outcome.pass = true;
-        outcome.worst_low = 0.0;
-        outcome.worst_high = vdd;
-        for (std::uint64_t code = 0;
-             code < target.num_minterms() && outcome.pass; ++code) {
-          std::map<int, spice::Waveform> drives;
-          for (int v = 0; v < target.num_vars(); ++v) {
-            drives[v] = spice::Waveform::dc(((code >> v) & 1) != 0 ? vdd : 0.0);
-          }
-          LatticeCircuit lc =
-              build_lattice_circuit(lattice, drives, circuit_options);
-          spice::OpResult op;
-          try {
-            op = spice::dc_operating_point(lc.circuit);
-          } catch (const ftl::Error&) {
-            // A die whose operating point cannot be found is a failing die.
-            outcome.pass = false;
-            break;
-          }
-          const double out = op.solution[static_cast<std::size_t>(
-              lc.circuit.find_node(lc.output_node))];
-          if (target.get(code)) {
-            outcome.worst_low = std::max(outcome.worst_low, out);
-            outcome.pass = op.converged && out < v_low_limit;
-          } else {
-            outcome.worst_high = std::min(outcome.worst_high, out);
-            outcome.pass = op.converged && out > v_high_limit;
-          }
-        }
-      },
-      static_cast<std::size_t>(options.max_threads));
-}
-
-/// One worker's contiguous trial chunk through the batched engine: ONE
-/// netlist build for the whole chunk, retuned in place per trial, with all
-/// still-passing trials of the chunk solved as lanes of one
-/// spice::BatchSolver per input code — one symbolic LU analysis amortized
-/// across the population instead of one per (trial, code, Newton rebuild).
-void run_batched_chunk(const lattice::Lattice& lattice,
-                       const logic::TruthTable& target,
-                       const VariabilityOptions& options, int trial_begin,
-                       int trial_end, std::vector<TrialOutcome>& outcomes) {
+/// One worker's contiguous trial chunk: ONE netlist build for the whole
+/// chunk, retuned in place per trial, with all still-passing trials solved
+/// as corners of one spice::dcop_batch per input code. The circuit keeps
+/// its symbolic LU analysis across codes, so the chunk pays one instead of
+/// one per (trial, code).
+void run_chunk(const lattice::Lattice& lattice,
+               const logic::TruthTable& target,
+               const VariabilityOptions& options, int trial_begin,
+               int trial_end, std::vector<TrialOutcome>& outcomes) {
   const double vdd = options.circuit.vdd;
   const double v_low_limit = options.low_fraction * vdd;
   const double v_high_limit = options.high_fraction * vdd;
   const std::size_t cells = static_cast<std::size_t>(lattice.cell_count());
 
-  // The same dice as the per-trial engine, drawn up front for the chunk.
+  // The chunk's dice, drawn up front.
   const std::size_t chunk = static_cast<std::size_t>(trial_end - trial_begin);
   std::vector<std::vector<double>> dvth(chunk), dkp(chunk);
   for (std::size_t k = 0; k < chunk; ++k) {
@@ -139,9 +71,9 @@ void run_batched_chunk(const lattice::Lattice& lattice,
                         dkp[k]);
   }
 
-  // One shared circuit. monte_carlo_yield owns the per-switch parameters
-  // (it replaces any caller hook in the per-trial engine too), so the
-  // nominal build drops the hook and every lane mutates from nominal.
+  // One shared circuit. monte_carlo_yield owns the per-switch parameters,
+  // so the nominal build drops any caller hook and every lane mutates from
+  // nominal.
   LatticeCircuitOptions circuit_options = options.circuit;
   circuit_options.switch_param_fn = nullptr;
   LatticeCircuit lc = build_lattice_circuit(lattice, {}, circuit_options);
@@ -248,15 +180,21 @@ void run_batched_chunk(const lattice::Lattice& lattice,
   }
 }
 
-void run_batched(const lattice::Lattice& lattice,
-                 const logic::TruthTable& target,
-                 const VariabilityOptions& options,
-                 std::vector<TrialOutcome>& outcomes) {
+}  // namespace
+
+VariabilityResult monte_carlo_yield(const lattice::Lattice& lattice,
+                                    const logic::TruthTable& target,
+                                    const VariabilityOptions& options) {
+  FTL_EXPECTS(lattice.num_vars() == target.num_vars());
+  FTL_EXPECTS(options.trials >= 1);
+  FTL_EXPECTS(options.sigma_vth >= 0.0 && options.sigma_kp_rel >= 0.0);
+  FTL_EXPECTS(options.max_threads >= 0);
+
+  std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(options.trials));
   // Threads split the batch, never a trial: one contiguous chunk of trials
-  // per worker, each chunk with its own shared circuit and BatchSolver.
-  // Chunk boundaries cannot affect results — every trial's outcome is a
-  // pure function of its own matrices — so any worker count reduces to the
-  // same answer, exactly like the per-trial engine's schedule independence.
+  // per worker, each chunk with its own shared circuit. Chunk boundaries
+  // cannot affect results — every trial's outcome is a pure function of its
+  // own matrices — so any worker count reduces to the same answer.
   std::size_t workers =
       options.max_threads > 0
           ? static_cast<std::size_t>(options.max_threads)
@@ -270,28 +208,10 @@ void run_batched(const lattice::Lattice& lattice,
         const int begin = static_cast<int>(trials * w / workers);
         const int end = static_cast<int>(trials * (w + 1) / workers);
         if (begin < end) {
-          run_batched_chunk(lattice, target, options, begin, end, outcomes);
+          run_chunk(lattice, target, options, begin, end, outcomes);
         }
       },
       workers);
-}
-
-}  // namespace
-
-VariabilityResult monte_carlo_yield(const lattice::Lattice& lattice,
-                                    const logic::TruthTable& target,
-                                    const VariabilityOptions& options) {
-  FTL_EXPECTS(lattice.num_vars() == target.num_vars());
-  FTL_EXPECTS(options.trials >= 1);
-  FTL_EXPECTS(options.sigma_vth >= 0.0 && options.sigma_kp_rel >= 0.0);
-  FTL_EXPECTS(options.max_threads >= 0);
-
-  std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(options.trials));
-  if (options.engine == VariabilityEngine::kBatched) {
-    run_batched(lattice, target, options, outcomes);
-  } else {
-    run_per_trial(lattice, target, options, outcomes);
-  }
 
   VariabilityResult result;
   result.trials = options.trials;

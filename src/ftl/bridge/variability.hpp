@@ -12,21 +12,6 @@
 
 namespace ftl::bridge {
 
-/// Which solver path the Monte-Carlo sweep runs. Both produce bitwise
-/// identical results — the batched engine's accepted LU replays are exact
-/// reproductions of the standalone factorizations — so the per-trial path
-/// survives only as the differential baseline the tests and the
-/// bench_spice_batch gate compare against.
-enum class VariabilityEngine {
-  /// One shared circuit per worker chunk, retuned in place per trial, all
-  /// trials of a chunk solved through one spice::BatchSolver per input code
-  /// (one symbolic LU analysis amortized across the population).
-  kBatched,
-  /// The PR 1 path: a fresh netlist build and standalone
-  /// dc_operating_point per (trial, code).
-  kPerTrial,
-};
-
 struct VariabilityOptions {
   double sigma_vth = 0.0;     ///< std-dev of the per-switch Vth shift, V
   double sigma_kp_rel = 0.0;  ///< relative std-dev of per-switch Kp
@@ -35,10 +20,10 @@ struct VariabilityOptions {
   /// Thread fan-out across trials: 0 = hardware concurrency, 1 = serial.
   /// The result is identical for every setting — each trial derives its own
   /// RNG stream from (seed, trial index) and results reduce in trial order.
-  /// The batched engine splits trials into one contiguous chunk per thread
-  /// (threads split the batch, never a trial).
+  /// Each thread takes one contiguous chunk of trials (threads split the
+  /// batch, never a trial).
   int max_threads = 0;
-  VariabilityEngine engine = VariabilityEngine::kBatched;
+  /// Bench circuit; its switch_param_fn is replaced by each trial's dice.
   LatticeCircuitOptions circuit;
   /// Logic thresholds as fractions of VDD for the pass/fail decision.
   double low_fraction = 1.0 / 3.0;
@@ -60,6 +45,12 @@ struct VariabilityResult {
 /// bench for `lattice`, each with every switch's Vth and Kp independently
 /// perturbed (Gaussian), and checks the full DC truth table against
 /// `target`. Deterministic for a fixed seed.
+///
+/// Each worker chunk builds the netlist once and, per input code, solves
+/// its still-passing trials as corners of one spice::dcop_batch, retuning
+/// the switches in place — one symbolic LU analysis for the whole chunk.
+/// Every trial's verdict still equals a fresh netlist build and standalone
+/// dc_operating_point per (trial, code); the tests hold it to that.
 VariabilityResult monte_carlo_yield(const lattice::Lattice& lattice,
                                     const logic::TruthTable& target,
                                     const VariabilityOptions& options);

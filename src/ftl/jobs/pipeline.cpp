@@ -10,7 +10,6 @@
 #include "ftl/fit/extract.hpp"
 #include "ftl/jobs/digest.hpp"
 #include "ftl/lattice/known_mappings.hpp"
-#include "ftl/spice/batch.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/measure.hpp"
 #include "ftl/spice/transient.hpp"
@@ -409,11 +408,11 @@ Artifact fig12b_job(const PipelineOptions& pipeline_options, JobContext& ctx) {
   return out;
 }
 
-// sweep_batch: the batched-corner engine as a pipeline stage. Runs the §V
-// Monte-Carlo yield of the XOR3 bench (all trials of a worker chunk solved
-// as lanes of one BatchSolver per input code) plus a Fig. 12 chain supply
-// sweep through chain_current_batch, and folds the engine's batch_core
-// counter deltas into the job telemetry.
+// sweep_batch: corner batches as a pipeline stage. Runs the §V Monte-Carlo
+// yield of the XOR3 bench (all trials of a worker chunk solved as corners
+// of one spice::dcop_batch per input code) plus a Fig. 12 chain supply
+// sweep through chain_current_batch, and folds the batch_core counter
+// deltas into the job telemetry.
 Artifact sweep_batch_job(const PipelineOptions& pipeline_options,
                          JobContext& ctx) {
   const bridge::SwitchModelParams model =
@@ -448,8 +447,9 @@ Artifact sweep_batch_job(const PipelineOptions& pipeline_options,
   out.scalars["worst_high"] = mc.worst_high;
   out.scalars["chain_n"] = static_cast<double>(chain_n);
 
-  // batch_core deltas — the process-wide counters are safe to difference
-  // here because no other pipeline job routes through the batch engine.
+  // batch_core deltas. Each dcop_batch adds only its own circuit's work to
+  // these totals, and no other pipeline job runs dcop_batch, so the
+  // difference is this job's batches.
   const spice::BatchCounters after = spice::batch_counters();
   ctx.counter("batches", static_cast<double>(after.batches - before.batches));
   ctx.counter("lanes", static_cast<double>(after.lanes - before.lanes));
@@ -680,7 +680,7 @@ PaperPipeline build_paper_pipeline(const PipelineOptions& options) {
     d.u64(base_digest(options, "sweep-batch-v1"));
     d.i64(options.mc_trials);
     d.i64(options.chain_max);
-    // options.workers stays out of the digest: the batched engine is
+    // options.workers stays out of the digest: the Monte-Carlo yield is
     // bitwise-deterministic across thread counts.
     desc.param_digest = d.value();
     desc.deps = {fit_a};

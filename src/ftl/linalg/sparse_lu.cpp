@@ -45,7 +45,7 @@ bool SparseLu::pattern_matches(const CsrView& a) const {
 void SparseLu::factor(const CsrView& a, const Options& options) {
   FTL_EXPECTS(a.n > 0 && a.row_start != nullptr);
   const std::size_t n = a.n;
-  n_ = n;
+  n_ = 0;  // unfactored until the elimination completes; a throw leaves it so
   csr_row_start_.assign(a.row_start, a.row_start + n + 1);
   csr_col_index_.assign(a.col_index, a.col_index + a.nonzeros());
   transpose_to_csc(a);
@@ -176,35 +176,33 @@ void SparseLu::factor(const CsrView& a, const Options& options) {
   for (std::size_t p = 0; p < l_rows_.size(); ++p) {
     l_pivot_rows_[p] = pinv_[l_rows_[p]];
   }
+  n_ = n;
 }
 
 void SparseLu::factor(const SparseMatrix& a, const Options& options) {
   factor(a.view(), options);
 }
 
-bool SparseLu::refactor_into(const CsrView& a, const Options& options,
-                             double* l_values, double* u_values, double* u_diag,
-                             std::vector<double>& x) const {
+bool SparseLu::refactor(const CsrView& a, const Options& options) {
   if (n_ == 0 || !pattern_matches(a)) return false;
   const std::size_t n = n_;
-  x.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t reach_begin = reach_start_[k];
     const std::size_t reach_end = reach_start_[k + 1];
     for (std::size_t px = reach_begin; px < reach_end; ++px) {
-      x[reach_[px]] = 0.0;
+      x_[reach_[px]] = 0.0;
     }
     for (std::size_t p = acol_start_[k]; p < acol_start_[k + 1]; ++p) {
-      x[arow_index_[p]] = a.values[aperm_[p]];
+      x_[arow_index_[p]] = a.values[aperm_[p]];
     }
     for (std::size_t px = reach_begin; px < reach_end; ++px) {
       const std::size_t j = reach_[px];
       const std::size_t jcol = pinv_[j];
       if (jcol >= k) continue;  // not eliminated before this column
-      const double xj = x[j];
+      const double xj = x_[j];
       if (xj == 0.0) continue;
       for (std::size_t p = l_col_start_[jcol]; p < l_col_start_[jcol + 1]; ++p) {
-        x[l_rows_[p]] -= l_values[p] * xj;
+        x_[l_rows_[p]] -= l_values_[p] * xj;
       }
     }
 
@@ -222,7 +220,7 @@ bool SparseLu::refactor_into(const CsrView& a, const Options& options,
       const std::size_t j = reach_[px];
       if (j == k) diag_in_reach = true;
       if (pinv_[j] < k) continue;  // already eliminated at step k
-      const double v = std::fabs(x[j]);
+      const double v = std::fabs(x_[j]);
       if (v > maxabs) {
         maxabs = v;
         pivot_row = j;
@@ -232,39 +230,32 @@ bool SparseLu::refactor_into(const CsrView& a, const Options& options,
       return false;  // factor() would throw; let it report the singularity
     }
     if (diag_in_reach && pinv_[k] >= k &&
-        std::fabs(x[k]) >= options.diag_preference * maxabs) {
+        std::fabs(x_[k]) >= options.diag_preference * maxabs) {
       pivot_row = k;  // the diagonal preference factor() would apply
     }
     if (pivot_row != perm_[k]) return false;  // pivot order drifted
 
-    const double pivot = x[pivot_row];
+    const double pivot = x_[pivot_row];
     if (std::fabs(pivot) < options.refactor_rel * maxabs) {
       return false;  // factors now partially stale: caller must factor()
     }
 
-    u_diag[k] = pivot;
+    u_diag_[k] = pivot;
     for (std::size_t p = u_col_start_[k]; p < u_col_start_[k + 1]; ++p) {
-      u_values[p] = x[perm_[u_rows_[p]]];
+      u_values_[p] = x_[perm_[u_rows_[p]]];
     }
     for (std::size_t p = l_col_start_[k]; p < l_col_start_[k + 1]; ++p) {
-      l_values[p] = x[l_rows_[p]] / pivot;
+      l_values_[p] = x_[l_rows_[p]] / pivot;
     }
   }
   return true;
-}
-
-bool SparseLu::refactor(const CsrView& a, const Options& options) {
-  return refactor_into(a, options, l_values_.data(), u_values_.data(),
-                       u_diag_.data(), x_);
 }
 
 bool SparseLu::refactor(const SparseMatrix& a, const Options& options) {
   return refactor(a.view(), options);
 }
 
-void SparseLu::solve_with(const double* l_values, const double* u_values,
-                          const double* u_diag, const Vector& b,
-                          Vector& x) const {
+void SparseLu::solve(const Vector& b, Vector& x) const {
   FTL_EXPECTS(n_ > 0 && b.size() == n_);
   x.resize(n_);
   for (std::size_t k = 0; k < n_; ++k) x[k] = b[perm_[k]];
@@ -273,124 +264,23 @@ void SparseLu::solve_with(const double* l_values, const double* u_values,
     const double xj = x[j];
     if (xj == 0.0) continue;
     for (std::size_t p = l_col_start_[j]; p < l_col_start_[j + 1]; ++p) {
-      x[l_pivot_rows_[p]] -= l_values[p] * xj;
+      x[l_pivot_rows_[p]] -= l_values_[p] * xj;
     }
   }
   // Back substitution on U (columns high to low).
   for (std::size_t k = n_; k-- > 0;) {
-    const double xk = (x[k] /= u_diag[k]);
+    const double xk = (x[k] /= u_diag_[k]);
     if (xk == 0.0) continue;
     for (std::size_t p = u_col_start_[k]; p < u_col_start_[k + 1]; ++p) {
-      x[u_rows_[p]] -= u_values[p] * xk;
+      x[u_rows_[p]] -= u_values_[p] * xk;
     }
   }
-}
-
-void SparseLu::solve(const Vector& b, Vector& x) const {
-  solve_with(l_values_.data(), u_values_.data(), u_diag_.data(), b, x);
 }
 
 Vector SparseLu::solve(const Vector& b) const {
   Vector x;
   solve(b, x);
   return x;
-}
-
-// ---------------------------------------------------------------------------
-// SparseLuBatch
-
-void SparseLuBatch::reset(std::size_t lanes) {
-  lanes_ = lanes;
-  shared_ = SparseLu();
-  l_stride_ = u_stride_ = 0;
-  lane_l_.clear();
-  lane_u_.clear();
-  lane_d_.clear();
-  state_.assign(lanes, LaneState::kEmpty);
-  fallback_.clear();
-  fallback_.resize(lanes);
-  counters_ = SparseLuBatchCounters();
-}
-
-void SparseLuBatch::invalidate() {
-  shared_ = SparseLu();
-  l_stride_ = u_stride_ = 0;
-  lane_l_.clear();
-  lane_u_.clear();
-  lane_d_.clear();
-  std::fill(state_.begin(), state_.end(), LaneState::kEmpty);
-  for (auto& own : fallback_) own.reset();
-}
-
-void SparseLuBatch::factor_lane(std::size_t lane, const CsrView& a,
-                                const Options& options) {
-  FTL_EXPECTS(lane < lanes_);
-  if (!shared_.factored()) {
-    // First lane through: run the full analysis and adopt its pattern as the
-    // shared symbolic record. Its values seed this lane's block. A throwing
-    // factor() leaves factored() true on half-built state, so reset before
-    // propagating — nothing may replay off an aborted analysis.
-    try {
-      shared_.factor(a, options);  // throws on singular input
-    } catch (...) {
-      shared_ = SparseLu();
-      throw;
-    }
-    ++counters_.symbolic_factors;
-    l_stride_ = shared_.l_values_.size();
-    u_stride_ = shared_.u_values_.size();
-    lane_l_.assign(lanes_ * l_stride_, 0.0);
-    lane_u_.assign(lanes_ * u_stride_, 0.0);
-    lane_d_.assign(lanes_ * shared_.n_, 0.0);
-    std::copy(shared_.l_values_.begin(), shared_.l_values_.end(),
-              lane_l_.begin() + static_cast<std::ptrdiff_t>(lane * l_stride_));
-    std::copy(shared_.u_values_.begin(), shared_.u_values_.end(),
-              lane_u_.begin() + static_cast<std::ptrdiff_t>(lane * u_stride_));
-    std::copy(shared_.u_diag_.begin(), shared_.u_diag_.end(),
-              lane_d_.begin() + static_cast<std::ptrdiff_t>(lane * shared_.n_));
-    state_[lane] = LaneState::kShared;
-    return;
-  }
-  // A lane that previously went private still tries the shared replay first:
-  // acceptance is a property of the values, not of the lane's history, and a
-  // replayed factor is bitwise identical to the private full factor anyway.
-  double* l = lane_l_.data() + lane * l_stride_;
-  double* u = lane_u_.data() + lane * u_stride_;
-  double* d = lane_d_.data() + lane * shared_.n_;
-  if (shared_.refactor_into(a, options, l, u, d, x_)) {
-    ++counters_.symbolic_reuses;
-    ++counters_.numeric_refactors;
-    state_[lane] = LaneState::kShared;
-    return;
-  }
-  ++counters_.lane_fallbacks;
-  auto& own = fallback_[lane];
-  if (!own) own = std::make_unique<SparseLu>();
-  if (own->factored() && own->refactor(a, options)) {
-    ++counters_.numeric_refactors;
-  } else {
-    try {
-      own->factor(a, options);  // throws on singular input
-    } catch (...) {
-      own.reset();  // an aborted factor must not satisfy factored() later
-      throw;
-    }
-    ++counters_.symbolic_factors;
-  }
-  state_[lane] = LaneState::kPrivate;
-}
-
-void SparseLuBatch::solve_lane(std::size_t lane, const Vector& b,
-                               Vector& x) const {
-  FTL_EXPECTS(lane < lanes_);
-  FTL_EXPECTS(state_[lane] != LaneState::kEmpty);
-  if (state_[lane] == LaneState::kPrivate) {
-    fallback_[lane]->solve(b, x);
-    return;
-  }
-  shared_.solve_with(lane_l_.data() + lane * l_stride_,
-                     lane_u_.data() + lane * u_stride_,
-                     lane_d_.data() + lane * shared_.n_, b, x);
 }
 
 }  // namespace ftl::linalg

@@ -20,12 +20,11 @@
 // exactly the row a fresh factorization would choose. On success the factors
 // are therefore bitwise identical to factor(a); on drift it reports false,
 // signalling the caller to re-run the full factorization. That equivalence
-// is what lets the batched corner engine (SparseLuBatch below) mix replayed
-// and fully-refactored lanes while staying bit-for-bit reproducible.
+// is what lets one circuit-held SparseLu serve every corner of a batch
+// (spice::dcop_batch) while each corner stays bit-for-bit equal to a solve
+// on a freshly built circuit.
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ftl/linalg/sparse.hpp"
@@ -50,7 +49,8 @@ class SparseLu {
   SparseLu() = default;
 
   /// Full factorization of the square CSR matrix `a` (symbolic + numeric,
-  /// row partial pivoting). Throws ftl::Error when singular.
+  /// row partial pivoting). Throws ftl::Error when singular, leaving the
+  /// object unfactored so no later refactor() replays a half-built record.
   void factor(const CsrView& a, const Options& options = SparseLuOptions());
   void factor(const SparseMatrix& a, const Options& options = SparseLuOptions());
 
@@ -78,23 +78,8 @@ class SparseLu {
   }
 
  private:
-  friend class SparseLuBatch;
-
   void transpose_to_csc(const CsrView& a);
   bool pattern_matches(const CsrView& a) const;
-
-  /// The refactor() engine with externally-owned value storage: replays this
-  /// factorization's recorded elimination into the given L/U value arrays
-  /// (sized like l_values_/u_values_/u_diag_), using `x` as the scatter
-  /// workspace. Const: the symbolic record is read-only, so one analysis can
-  /// back many value lanes.
-  bool refactor_into(const CsrView& a, const Options& options, double* l_values,
-                     double* u_values, double* u_diag,
-                     std::vector<double>& x) const;
-
-  /// solve() against externally-owned value arrays (same layout).
-  void solve_with(const double* l_values, const double* u_values,
-                  const double* u_diag, const Vector& b, Vector& x) const;
 
   std::size_t n_ = 0;
 
@@ -126,68 +111,6 @@ class SparseLu {
   std::vector<double> x_;
   std::vector<int> mark_;
   std::vector<std::size_t> dfs_stack_, dfs_edge_;
-};
-
-struct SparseLuBatchCounters {
-  std::uint64_t symbolic_factors = 0;  ///< full (symbolic + numeric) analyses
-  std::uint64_t symbolic_reuses = 0;   ///< lane factors replayed off the shared record
-  std::uint64_t numeric_refactors = 0; ///< accepted numeric-only replays (shared + per-lane)
-  std::uint64_t lane_fallbacks = 0;    ///< replays rejected -> full factor for one lane
-};
-
-/// K numeric factorizations over ONE symbolic analysis. The first
-/// factor_lane() call performs the full Gilbert-Peierls factorization and
-/// records the elimination pattern; every other (lane, matrix) pair with the
-/// same sparsity pattern replays that record numerically into the lane's own
-/// contiguous value block — no DFS, no allocation, no pivot search beyond
-/// the exact-match verification. A lane whose values break the recorded
-/// pivot order falls back to a private full factorization for that lane
-/// only; because an accepted replay is bitwise identical to a fresh
-/// factor(), mixing replayed and fallback lanes cannot change any result.
-///
-/// Single-threaded by design: callers wanting parallelism split lanes
-/// across per-thread SparseLuBatch instances (threads split the batch, not
-/// the lane).
-class SparseLuBatch {
- public:
-  using Options = SparseLuOptions;
-
-  /// Readies `lanes` value slots; drops any shared analysis and all
-  /// per-lane state.
-  void reset(std::size_t lanes);
-
-  /// Drops the shared symbolic analysis and per-lane factors (call when the
-  /// assembly reports a sparsity-pattern change). Lane count is kept.
-  void invalidate();
-
-  std::size_t lanes() const { return lanes_; }
-  bool analyzed() const { return shared_.factored(); }
-
-  /// Factors `a` into lane `lane`'s value block (see class comment).
-  /// Throws ftl::Error when `a` is singular — exactly when a standalone
-  /// SparseLu::factor(a) would.
-  void factor_lane(std::size_t lane, const CsrView& a,
-                   const Options& options = SparseLuOptions());
-
-  /// Solves A x = b with lane `lane`'s current factors.
-  void solve_lane(std::size_t lane, const Vector& b, Vector& x) const;
-
-  const SparseLuBatchCounters& counters() const { return counters_; }
-
- private:
-  enum class LaneState : unsigned char { kEmpty, kShared, kPrivate };
-
-  std::size_t lanes_ = 0;
-  SparseLu shared_;  ///< symbolic owner; its own values belong to no lane
-  // Lane-blocked value arrays: lane i's L values occupy
-  // lane_l_[i * l_stride_ .. (i + 1) * l_stride_), and likewise for U.
-  std::size_t l_stride_ = 0, u_stride_ = 0;
-  std::vector<double> lane_l_, lane_u_, lane_d_;
-  std::vector<double> x_;  ///< scatter workspace shared by the replays
-  std::vector<LaneState> state_;
-  /// Fallback factorizations, allocated only for lanes that ever needed one.
-  std::vector<std::unique_ptr<SparseLu>> fallback_;
-  SparseLuBatchCounters counters_;
 };
 
 }  // namespace ftl::linalg

@@ -32,7 +32,7 @@
 #include "ftl/logic/expr_parser.hpp"
 #include "ftl/sat/solver.hpp"
 #include "ftl/serve/json.hpp"
-#include "ftl/spice/batch.hpp"
+#include "ftl/spice/dcop.hpp"
 #include "ftl/spice/linear_solver.hpp"
 #include "ftl/util/thread_pool.hpp"
 
@@ -469,12 +469,12 @@ JsonValue handle_metrics(const JsonValue& req, const Deadline& deadline) {
   return body;
 }
 
-// sweep_batch: the batched corner/variability engine as a service op — a
-// Monte-Carlo yield sweep of the requested lattice through
-// bridge::monte_carlo_yield's BatchSolver path. Deterministic for fixed
-// parameters at ANY worker count (lanes reduce in trial order; threads
-// split the batch, never a trial), so it is a pure, cacheable op; the
-// engine's process-wide counters surface in `stats` as batch_core.
+// sweep_batch: a Monte-Carlo yield sweep of the requested lattice through
+// bridge::monte_carlo_yield, whose trials solve as corners of one
+// spice::dcop_batch per input code. Deterministic for fixed parameters at
+// ANY worker count (lanes reduce in trial order; threads split the batch,
+// never a trial), so it is a pure, cacheable op; the batches' counters
+// surface in `stats` as batch_core.
 JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
   LatticeSpec spec = lattice_spec_from(req);
   if (spec.lat.num_vars() > 6) {
@@ -494,16 +494,6 @@ JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
   options.max_threads = req.find("workers") != nullptr
                             ? require_int(req, "workers", 0, 4096)
                             : 0;
-  if (const JsonValue* e = req.find("engine")) {
-    const std::string name = e->is_string() ? e->as_string() : "";
-    if (name == "per_trial") {
-      // Differential baseline: same dice, fresh netlist + standalone solve
-      // per (trial, code). Bitwise identical to the batched engine.
-      options.engine = bridge::VariabilityEngine::kPerTrial;
-    } else if (name != "batched") {
-      throw Error("'engine' must be 'batched' or 'per_trial'");
-    }
-  }
   deadline.check("target function");
   const logic::TruthTable target =
       spec.target ? *spec.target : lattice::realized_truth_table(spec.lat);
@@ -520,10 +510,6 @@ JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
   body.set("yield", JsonValue::number(result.yield()));
   body.set("worst_low", JsonValue::number(result.worst_low));
   body.set("worst_high", JsonValue::number(result.worst_high));
-  body.set("engine", JsonValue::str(
-                         options.engine == bridge::VariabilityEngine::kBatched
-                             ? "batched"
-                             : "per_trial"));
   return body;
 }
 
@@ -918,10 +904,11 @@ struct Service::Impl {
     sat_core.set("proof_failures", get_u64(sc.proof_failures));
     sat_core.set("proof_check_us", get_u64(sc.proof_check_us));
     body.set("sat_core", std::move(sat_core));
-    // SPICE-core counters (process-wide, monotonic): classic per-circuit
-    // Newton/LU pipeline work — how often the sparse LU got away with a
-    // numeric-only refactor vs a full factorization, and how often sparse
-    // pivoting degraded to the dense fallback. Driven by the metrics op.
+    // SPICE-core counters (process-wide, monotonic): every Newton
+    // iteration's LU work, corner batches included — how often the sparse
+    // LU got away with a numeric-only refactor vs a full factorization, and
+    // how often sparse pivoting degraded to the dense fallback. Driven by
+    // the metrics, sweep_batch and explore ops.
     const spice::SpiceCounters spc = spice::spice_counters();
     JsonValue spice_core = JsonValue::object();
     spice_core.set("newton_iterations", get_u64(spc.newton_iterations));
@@ -930,11 +917,13 @@ struct Service::Impl {
     spice_core.set("dense_fallbacks", get_u64(spc.dense_fallbacks));
     spice_core.set("dense_solves", get_u64(spc.dense_solves));
     body.set("spice_core", std::move(spice_core));
-    // Batched-corner engine counters (process-wide, monotonic), flushed
-    // once per BatchSolver::solve. symbolic_reuses / (symbolic_factors +
-    // symbolic_reuses) is the headline amortization ratio; lane_fallbacks
-    // counts corners whose pivot order drifted off the shared analysis.
-    // Driven by the sweep_batch and metrics ops.
+    // Corner-batch counters (process-wide, monotonic): the share of the
+    // spice_core work done inside dcop_batch, flushed once per batch from
+    // the batch circuit's own solver tally. symbolic_reuses /
+    // (symbolic_factors + symbolic_reuses) is the headline amortization
+    // ratio; lane_fallbacks counts replays whose pivot order drifted off
+    // the recorded analysis. Driven by the sweep_batch, metrics and explore
+    // ops.
     const spice::BatchCounters bc = spice::batch_counters();
     JsonValue batch_core = JsonValue::object();
     batch_core.set("batches", get_u64(bc.batches));

@@ -1,16 +1,91 @@
 #include "ftl/spice/dcop.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "ftl/util/error.hpp"
 
 namespace ftl::spice {
+namespace {
+
+// Process-wide batch counters (relaxed: individually exact, mutually
+// unordered), flushed once per dcop_batch call.
+struct AtomicBatchCounters {
+  std::atomic<std::uint64_t> batches{0};
+  std::atomic<std::uint64_t> lanes{0};
+  std::atomic<std::uint64_t> symbolic_factors{0};
+  std::atomic<std::uint64_t> symbolic_reuses{0};
+  std::atomic<std::uint64_t> numeric_refactors{0};
+  std::atomic<std::uint64_t> lane_fallbacks{0};
+  std::atomic<std::uint64_t> newton_iterations{0};
+};
+
+AtomicBatchCounters& batch_counter_cells() {
+  static AtomicBatchCounters counters;
+  return counters;
+}
+
+/// The classic rescue ladders, run after a plain Newton attempt failed:
+/// gmin stepping, then source stepping from the ladder's best solution.
+/// `ctx` is the target context (true gmin, full sources). Throws
+/// ftl::Error when both ladders stall.
+OpResult dcop_rescue(Circuit& circuit, const EvalContext& ctx,
+                     const NewtonOptions& options) {
+  // gmin stepping: solve an easier (leakier) circuit, then tighten.
+  linalg::Vector guess;
+  bool have_guess = false;
+  for (double gmin = 1e-2; gmin >= options.gmin; gmin /= 10.0) {
+    EvalContext step_ctx = ctx;
+    step_ctx.gmin = gmin;
+    OpResult r = newton_solve(circuit, have_guess ? guess : linalg::Vector{},
+                              step_ctx, options);
+    if (!r.converged) break;
+    guess = r.solution;
+    have_guess = true;
+    if (gmin <= options.gmin * 10.0) {
+      OpResult final_result = newton_solve(circuit, guess, ctx, options);
+      if (final_result.converged) return final_result;
+      break;
+    }
+  }
+
+  // Source stepping from whatever the gmin ladder produced, with an
+  // adaptive step: a failed rung halves the increment and retries from the
+  // last good solution.
+  double scale = 0.0;
+  double step = 0.1;
+  while (scale < 1.0) {
+    const double attempt_scale = std::min(scale + step, 1.0);
+    EvalContext step_ctx = ctx;
+    step_ctx.source_scale = attempt_scale;
+    OpResult r = newton_solve(circuit, have_guess ? guess : linalg::Vector{},
+                              step_ctx, options);
+    if (r.converged) {
+      scale = attempt_scale;
+      guess = r.solution;
+      have_guess = true;
+      step = std::min(step * 2.0, 0.25);
+      if (scale >= 1.0) return r;
+    } else {
+      step /= 2.0;
+      if (step < 1e-4) {
+        throw ftl::Error(
+            "DC operating point: source stepping stalled at scale " +
+            std::to_string(scale));
+      }
+    }
+  }
+  throw ftl::Error("DC operating point: convergence failed");
+}
+
+}  // namespace
 
 OpResult newton_solve(Circuit& circuit, const linalg::Vector& initial,
                       EvalContext ctx, const NewtonOptions& options) {
-  // Every analysis funnels through here, so one gate covers dcop, dcsweep
-  // and transient; the hook runs once per topology and throws to abort.
+  // Every analysis funnels through here, so one gate covers dcop, corner
+  // batches, dcsweep and transient; the hook runs once per topology and
+  // throws to abort.
   circuit.run_presolve_gate();
   const int n = circuit.prepare_unknowns();
   OpResult result;
@@ -79,14 +154,68 @@ OpResult dc_operating_point(Circuit& circuit, const NewtonOptions& options) {
   ctx.is_transient = false;
   ctx.gmin = options.gmin;
 
-  // Plain Newton from a zero start; the shared rescue ladders otherwise.
+  // Plain Newton from a zero start; the rescue ladders otherwise.
   OpResult direct = newton_solve(circuit, {}, ctx, options);
   if (direct.converged) return direct;
-  return detail::dcop_rescue(
-      ctx, options,
-      [&](const linalg::Vector& initial, const EvalContext& step_ctx) {
-        return newton_solve(circuit, initial, step_ctx, options);
-      });
+  return dcop_rescue(circuit, ctx, options);
+}
+
+BatchCounters batch_counters() {
+  AtomicBatchCounters& c = batch_counter_cells();
+  BatchCounters out;
+  out.batches = c.batches.load(std::memory_order_relaxed);
+  out.lanes = c.lanes.load(std::memory_order_relaxed);
+  out.symbolic_factors = c.symbolic_factors.load(std::memory_order_relaxed);
+  out.symbolic_reuses = c.symbolic_reuses.load(std::memory_order_relaxed);
+  out.numeric_refactors = c.numeric_refactors.load(std::memory_order_relaxed);
+  out.lane_fallbacks = c.lane_fallbacks.load(std::memory_order_relaxed);
+  out.newton_iterations = c.newton_iterations.load(std::memory_order_relaxed);
+  return out;
+}
+
+void reset_batch_counters() {
+  AtomicBatchCounters& c = batch_counter_cells();
+  c.batches.store(0, std::memory_order_relaxed);
+  c.lanes.store(0, std::memory_order_relaxed);
+  c.symbolic_factors.store(0, std::memory_order_relaxed);
+  c.symbolic_reuses.store(0, std::memory_order_relaxed);
+  c.numeric_refactors.store(0, std::memory_order_relaxed);
+  c.lane_fallbacks.store(0, std::memory_order_relaxed);
+  c.newton_iterations.store(0, std::memory_order_relaxed);
+}
+
+std::vector<BatchCornerResult> dcop_batch(
+    Circuit& circuit, std::size_t lanes,
+    const std::function<void(std::size_t)>& apply,
+    const NewtonOptions& options) {
+  const SolverTally before = circuit.linear_solver().tally();
+  std::vector<BatchCornerResult> out(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    apply(lane);
+    try {
+      out[lane].op = dc_operating_point(circuit, options);
+    } catch (const ftl::Error& e) {
+      out[lane].failed = true;
+      out[lane].error = e.what();
+    }
+  }
+
+  const SolverTally after = circuit.linear_solver().tally();
+  AtomicBatchCounters& c = batch_counter_cells();
+  const std::uint64_t replays = after.refactors - before.refactors;
+  c.batches.fetch_add(1, std::memory_order_relaxed);
+  c.lanes.fetch_add(lanes, std::memory_order_relaxed);
+  c.symbolic_factors.fetch_add(after.factors - before.factors,
+                               std::memory_order_relaxed);
+  c.symbolic_reuses.fetch_add(replays, std::memory_order_relaxed);
+  c.numeric_refactors.fetch_add(replays, std::memory_order_relaxed);
+  c.lane_fallbacks.fetch_add(
+      after.rejected_refactors - before.rejected_refactors,
+      std::memory_order_relaxed);
+  c.newton_iterations.fetch_add(
+      after.newton_iterations - before.newton_iterations,
+      std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace ftl::spice

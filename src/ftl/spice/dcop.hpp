@@ -1,13 +1,15 @@
 #pragma once
 // Newton–Raphson DC operating point with the two classic SPICE rescue
-// ladders: gmin stepping and source stepping.
+// ladders: gmin stepping and source stepping; and corner batches of one
+// topology solved through that same path on one retuned circuit.
 
-#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "ftl/spice/circuit.hpp"
 #include "ftl/spice/linear_solver.hpp"
-#include "ftl/util/error.hpp"
 
 namespace ftl::spice {
 
@@ -40,64 +42,47 @@ OpResult dc_operating_point(Circuit& circuit, const NewtonOptions& options = {})
 OpResult newton_solve(Circuit& circuit, const linalg::Vector& initial,
                       EvalContext ctx_template, const NewtonOptions& options);
 
-namespace detail {
+/// Process-wide corner-batch counters (relaxed atomics, monotonic),
+/// surfaced by the serve `stats` op as `batch_core` next to `spice_core`.
+/// Each dcop_batch call adds the difference of its circuit's SolverTally
+/// across the batch, so the counts are the batch's own work. The same
+/// iterations and factorizations also count in `spice_core`.
+struct BatchCounters {
+  std::uint64_t batches = 0;            ///< dcop_batch calls
+  std::uint64_t lanes = 0;              ///< corners solved across all batches
+  std::uint64_t symbolic_factors = 0;   ///< full sparse factorizations
+  std::uint64_t symbolic_reuses = 0;    ///< factorizations replayed off the record
+  std::uint64_t numeric_refactors = 0;  ///< accepted numeric-only replays (= reuses)
+  std::uint64_t lane_fallbacks = 0;     ///< replays rejected for pivot drift
+  std::uint64_t newton_iterations = 0;  ///< Newton iterations of the batches
+};
 
-/// The classic rescue ladders (gmin stepping, then source stepping from the
-/// ladder's best solution), shared verbatim by dc_operating_point and the
-/// batched corner driver (spice/batch.hpp) so both rescue identically.
-/// `run(initial, step_ctx)` performs one Newton solve and returns its
-/// OpResult; `ctx` is the target context (true gmin, full sources). Called
-/// after a plain Newton attempt failed; throws ftl::Error when both ladders
-/// stall.
-template <class RunFn>
-OpResult dcop_rescue(const EvalContext& ctx, const NewtonOptions& options,
-                     RunFn&& run) {
-  // gmin stepping: solve an easier (leakier) circuit, then tighten.
-  linalg::Vector guess;
-  bool have_guess = false;
-  for (double gmin = 1e-2; gmin >= options.gmin; gmin /= 10.0) {
-    EvalContext step_ctx = ctx;
-    step_ctx.gmin = gmin;
-    OpResult r = run(have_guess ? guess : linalg::Vector{}, step_ctx);
-    if (!r.converged) break;
-    guess = r.solution;
-    have_guess = true;
-    if (gmin <= options.gmin * 10.0) {
-      EvalContext final_ctx = ctx;
-      OpResult final_result = run(guess, final_ctx);
-      if (final_result.converged) return final_result;
-      break;
-    }
-  }
+/// Snapshot of the process-wide counters.
+BatchCounters batch_counters();
 
-  // Source stepping from whatever the gmin ladder produced, with an
-  // adaptive step: a failed rung halves the increment and retries from the
-  // last good solution.
-  double scale = 0.0;
-  double step = 0.1;
-  while (scale < 1.0) {
-    const double attempt_scale = std::min(scale + step, 1.0);
-    EvalContext step_ctx = ctx;
-    step_ctx.source_scale = attempt_scale;
-    OpResult r = run(have_guess ? guess : linalg::Vector{}, step_ctx);
-    if (r.converged) {
-      scale = attempt_scale;
-      guess = r.solution;
-      have_guess = true;
-      step = std::min(step * 2.0, 0.25);
-      if (scale >= 1.0) return r;
-    } else {
-      step /= 2.0;
-      if (step < 1e-4) {
-        throw ftl::Error(
-            "DC operating point: source stepping stalled at scale " +
-            std::to_string(scale));
-      }
-    }
-  }
-  throw ftl::Error("DC operating point: convergence failed");
-}
+/// Resets all counters to zero (test support).
+void reset_batch_counters();
 
-}  // namespace detail
+/// Outcome of one corner. `failed` means dc_operating_point threw for that
+/// corner (presolve-gate rejection, singular system, stalled rescue):
+/// `error` then carries the exception text and `op` is meaningless.
+struct BatchCornerResult {
+  OpResult op;
+  bool failed = false;
+  std::string error;
+};
+
+/// K corners of one topology: for each lane in order, `apply(lane)` retunes
+/// `circuit` in place (device parameters, source waveforms — anything that
+/// moves values without moving MNA stamp positions), then
+/// dc_operating_point(circuit, options) solves it. The circuit's own
+/// MnaLinearSolver keeps the netlist's sparsity pattern and symbolic LU
+/// across lanes, and an accepted replay is bitwise a fresh factor, so lane
+/// i's result equals dc_operating_point on a freshly built circuit at
+/// corner i. Never throws an ftl::Error for a corner; reports it per lane.
+std::vector<BatchCornerResult> dcop_batch(
+    Circuit& circuit, std::size_t lanes,
+    const std::function<void(std::size_t)>& apply,
+    const NewtonOptions& options = NewtonOptions());
 
 }  // namespace ftl::spice

@@ -16,22 +16,27 @@ DcSweepResult dc_sweep(Circuit& circuit, const std::string& source_name,
   result.converged = true;
 
   linalg::Vector guess;
-  for (double v : values) {
-    source.set_waveform(Waveform::dc(v));
-    EvalContext ctx;
-    ctx.gmin = options.gmin;
-    OpResult op = newton_solve(circuit, guess, ctx, options);
-    if (!op.converged) {
-      // Fall back to the full rescue ladder for this point.
-      try {
-        op = dc_operating_point(circuit, options);
-      } catch (const ftl::Error&) {
-        result.converged = false;
+  try {
+    for (double v : values) {
+      source.set_waveform(Waveform::dc(v));
+      EvalContext ctx;
+      ctx.gmin = options.gmin;
+      OpResult op = newton_solve(circuit, guess, ctx, options);
+      if (!op.converged) {
+        // Fall back to the full rescue ladder for this point.
+        try {
+          op = dc_operating_point(circuit, options);
+        } catch (const ftl::Error&) {
+          result.converged = false;
+        }
       }
+      guess = op.solution;
+      result.solutions.push_back(std::move(op.solution));
+      result.converged = result.converged && op.converged;
     }
-    guess = op.solution;
-    result.solutions.push_back(std::move(op.solution));
-    result.converged = result.converged && op.converged;
+  } catch (...) {
+    source.set_waveform(saved);  // a throwing solve must not leave it retuned
+    throw;
   }
 
   source.set_waveform(saved);

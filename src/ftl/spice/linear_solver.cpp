@@ -53,15 +53,12 @@ void MnaLinearSolver::prepare(int n, MatrixMode mode) {
   if (n != n_ || want_sparse != sparse_active_) {
     n_ = n;
     sparse_active_ = want_sparse;
-    have_symbolic_ = false;
     sparse_.reset(0);  // drop any cached pattern from another sizing
   }
-  mode_ = mode;
 }
 
 void MnaLinearSolver::invalidate() {
   n_ = -1;
-  have_symbolic_ = false;
   sparse_.reset(0);
 }
 
@@ -86,27 +83,32 @@ void MnaLinearSolver::solve_iteration(const Circuit& circuit,
   const std::size_t n = static_cast<std::size_t>(n_);
   AtomicSpiceCounters& counters = spice_counter_cells();
   counters.newton_iterations.fetch_add(1, std::memory_order_relaxed);
+  ++tally_.newton_iterations;
 
   if (sparse_active_) {
     sparse_.reset(n);
     assemble(circuit, ctx, sparse_);
     const bool pattern_changed = sparse_.finalize();
-    if (pattern_changed) have_symbolic_ = false;
 
     const linalg::CsrView a = sparse_.matrix();
     bool factored = false;
     try {
-      if (have_symbolic_ && sparse_lu_.refactor(a)) {
+      if (sparse_lu_.refactor(a)) {
         counters.refactors.fetch_add(1, std::memory_order_relaxed);
-        factored = true;
+        ++tally_.refactors;
       } else {
+        // refactor() declines when nothing is factored or the pattern
+        // moved; with factors of this very pattern on hand it was drift.
+        if (sparse_lu_.factored() && !pattern_changed) {
+          ++tally_.rejected_refactors;
+        }
         sparse_lu_.factor(a);
         counters.factors.fetch_add(1, std::memory_order_relaxed);
-        have_symbolic_ = true;
-        factored = true;
+        ++tally_.factors;
       }
+      factored = true;
     } catch (const ftl::Error&) {
-      have_symbolic_ = false;  // fall through to the dense rescue below
+      // fall through to the dense rescue below
       counters.dense_fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
     if (factored) {

@@ -17,9 +17,9 @@ class Circuit;
 
 /// Process-wide Newton/LU pipeline counters (relaxed atomics, monotonic),
 /// surfaced by the serve `stats` op as `spice_core` so production circuit
-/// load is observable. They cover the classic per-circuit MnaLinearSolver
-/// path; the batched corner engine reports separately as `batch_core`
-/// (spice/batch.hpp).
+/// load is observable. Every Newton iteration of every analysis counts here,
+/// corner batches included; dcop_batch additionally reports its own share
+/// as `batch_core` (spice/dcop.hpp).
 struct SpiceCounters {
   std::uint64_t newton_iterations = 0;  ///< solve_iteration calls, all analyses
   std::uint64_t factors = 0;            ///< full sparse factorizations
@@ -33,6 +33,17 @@ SpiceCounters spice_counters();
 
 /// Resets all counters to zero (test support).
 void reset_spice_counters();
+
+/// One MnaLinearSolver's own work: plain counters bumped beside the
+/// process-wide atomics. A solver belongs to one circuit, driven by one
+/// thread at a time, so a difference of two tallies is exactly the work
+/// done in between — no other thread's solves can leak into it.
+struct SolverTally {
+  std::uint64_t newton_iterations = 0;  ///< solve_iteration calls
+  std::uint64_t factors = 0;            ///< full sparse factorizations
+  std::uint64_t refactors = 0;          ///< accepted numeric-only replays
+  std::uint64_t rejected_refactors = 0; ///< replays rejected for pivot drift
+};
 
 /// Which matrix backend newton_solve uses. kAuto picks dense for small
 /// systems (below MnaLinearSolver::kDenseCutover unknowns) and sparse above;
@@ -61,19 +72,18 @@ class MnaLinearSolver {
   void solve_iteration(const Circuit& circuit, const EvalContext& ctx,
                        linalg::Vector& x);
 
-  bool using_sparse() const { return sparse_active_; }
+  const SolverTally& tally() const { return tally_; }
 
  private:
   int n_ = -1;
-  MatrixMode mode_ = MatrixMode::kAuto;
   bool sparse_active_ = false;
+  SolverTally tally_;
 
   DenseAssembly dense_;
   linalg::LuFactorization dense_lu_;
 
   SparseAssembly sparse_;
   linalg::SparseLu sparse_lu_;
-  bool have_symbolic_ = false;
 };
 
 }  // namespace ftl::spice

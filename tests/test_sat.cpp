@@ -9,7 +9,7 @@
 #include <random>
 #include <vector>
 
-#include "ftl/sat/dpll.hpp"
+#include "dpll_oracle.hpp"
 #include "ftl/sat/encode.hpp"
 #include "ftl/sat/proof.hpp"
 #include "ftl/sat/solver.hpp"
@@ -17,7 +17,7 @@
 
 namespace {
 
-using ftl::sat::dpll_solve;
+using ftl::oracle::dpll_solve;
 using ftl::sat::encode_path_absent;
 using ftl::sat::encode_path_exists;
 using ftl::sat::LatticeSynthesisCnf;

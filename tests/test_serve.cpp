@@ -490,7 +490,6 @@ TEST(ServeProtocol, SweepBatchRunsTheBatchedYieldSweep) {
       service, R"({"op":"sweep_batch","expr":"a b","trials":6,"seed":5})");
   EXPECT_TRUE(r.bool_or("ok", false)) << r.dump();
   EXPECT_DOUBLE_EQ(r.find("trials")->as_number(), 6.0);
-  EXPECT_EQ(r.find("engine")->as_string(), "batched");
   const double passing = r.find("passing")->as_number();
   EXPECT_GE(passing, 0.0);
   EXPECT_LE(passing, 6.0);
@@ -501,35 +500,8 @@ TEST(ServeProtocol, SweepBatchRunsTheBatchedYieldSweep) {
   ASSERT_NE(r.find("worst_high"), nullptr);
 }
 
-TEST(ServeProtocol, SweepBatchPerTrialEngineMatchesBatchedBitwise) {
-  // The per_trial engine is the differential baseline: same dice, fresh
-  // netlist per (trial, code), standalone solves. The two engines must
-  // agree byte for byte through the service too.
-  Service service({.workers = 1});
-  const JsonValue a = reply(
-      service,
-      R"({"op":"sweep_batch","expr":"a b + c","trials":8,"seed":11,)"
-      R"("sigma_vth":0.2,"engine":"batched"})");
-  const JsonValue b = reply(
-      service,
-      R"({"op":"sweep_batch","expr":"a b + c","trials":8,"seed":11,)"
-      R"("sigma_vth":0.2,"engine":"per_trial"})");
-  EXPECT_TRUE(a.bool_or("ok", false)) << a.dump();
-  EXPECT_TRUE(b.bool_or("ok", false)) << b.dump();
-  EXPECT_EQ(a.find("engine")->as_string(), "batched");
-  EXPECT_EQ(b.find("engine")->as_string(), "per_trial");
-  EXPECT_EQ(a.find("passing")->as_number(), b.find("passing")->as_number());
-  EXPECT_EQ(a.find("worst_low")->as_number(),
-            b.find("worst_low")->as_number());
-  EXPECT_EQ(a.find("worst_high")->as_number(),
-            b.find("worst_high")->as_number());
-}
-
 TEST(ServeProtocol, SweepBatchRejectsBadParameters) {
   Service service({.workers = 1});
-  expect_error(reply(service, R"({"op":"sweep_batch","expr":"a b",)"
-                              R"("engine":"magic"})"),
-               "bad_request");
   expect_error(reply(service, R"({"op":"sweep_batch","expr":"a b",)"
                               R"("trials":0})"),
                "bad_request");

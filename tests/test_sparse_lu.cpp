@@ -1,7 +1,7 @@
 // Gilbert-Peierls sparse LU: agreement with the dense kernel (and CG on
 // SPD systems), numeric-only refactorization, pivot-degradation rejection,
-// the pattern-cached MNA assembly, and dense-vs-sparse Newton on real
-// lattice circuits.
+// singular-input handling, the pattern-cached MNA assembly, and
+// dense-vs-sparse Newton on real lattice circuits.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -162,8 +162,8 @@ TEST(SparseLu, RefactorRejectsDegradedPivotsAndDifferentPatterns) {
 }
 
 TEST(SparseLu, AcceptedRefactorIsBitwiseIdenticalToFreshFactor) {
-  // The contract the batched corner engine rests on: an accepted replay is
-  // not merely close to factor(a), it IS factor(a), bit for bit. Solve both
+  // The contract corner batches rest on: an accepted replay is not merely
+  // close to factor(a), it IS factor(a), bit for bit. Solve both
   // and compare with EXPECT_EQ (exact double equality, no tolerance).
   std::mt19937 rng(17);
   const std::size_t n = 60;
@@ -258,140 +258,6 @@ TEST(SparseLu, RefactorRelThresholdRejectsWeakenedDiagonalPivot) {
   EXPECT_LT(rel_error(lu.solve(b), dense_solve(make(0.05), b)), 1e-12);
 }
 
-TEST(SparseLuBatch, LanesShareOneSymbolicAnalysis) {
-  std::mt19937 rng(41);
-  const std::size_t n = 50;
-  const std::size_t lanes = 4;
-  const linalg::SparseMatrix base = random_unsymmetric(n, rng);
-
-  std::vector<linalg::SparseMatrix> mats;
-  std::uniform_real_distribution<double> jitter(0.9, 1.1);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    linalg::SparseMatrix m = base;
-    if (lane > 0) {
-      for (double& v : m.values()) v *= jitter(rng);
-    }
-    mats.push_back(std::move(m));
-  }
-  linalg::SparseLuBatch batch;
-  batch.reset(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    batch.factor_lane(lane, mats[lane].view());
-  }
-  EXPECT_EQ(batch.counters().symbolic_factors, 1u);
-  EXPECT_EQ(batch.counters().symbolic_reuses, lanes - 1);
-  EXPECT_EQ(batch.counters().numeric_refactors, lanes - 1);
-  EXPECT_EQ(batch.counters().lane_fallbacks, 0u);
-
-  // Every lane must match a standalone factorization of its matrix bitwise.
-  const linalg::Vector b = random_vector(n, rng);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    linalg::Vector x;
-    batch.solve_lane(lane, b, x);
-    linalg::SparseLu standalone;
-    standalone.factor(mats[lane]);
-    const linalg::Vector expect = standalone.solve(b);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(x[i], expect[i]) << "lane=" << lane << " i=" << i;
-    }
-  }
-}
-
-TEST(SparseLuBatch, DegradedLaneFallsBackPrivatelyAndStaysBitwise) {
-  std::mt19937 rng(53);
-  const std::size_t n = 40;
-  const std::size_t lanes = 3;
-  const linalg::SparseMatrix base = random_unsymmetric(n, rng);
-
-  // Lane 1 starves a row hard enough to break the recorded pivot order.
-  std::vector<linalg::SparseMatrix> mats(lanes, base);
-  {
-    const std::size_t row = n / 2;
-    const auto& rs = mats[1].row_start();
-    for (std::size_t p = rs[row]; p < rs[row + 1]; ++p) {
-      mats[1].values()[p] *= 1e-12;
-    }
-  }
-  linalg::SparseLuBatch batch;
-  batch.reset(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    batch.factor_lane(lane, mats[lane].view());
-  }
-  EXPECT_GE(batch.counters().lane_fallbacks, 1u);
-
-  const linalg::Vector b = random_vector(n, rng);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    linalg::Vector x;
-    batch.solve_lane(lane, b, x);
-    linalg::SparseLu standalone;
-    standalone.factor(mats[lane]);
-    const linalg::Vector expect = standalone.solve(b);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(x[i], expect[i]) << "lane=" << lane << " i=" << i;
-    }
-  }
-
-  // A later round with healthy values: the fallback lane retries the shared
-  // replay first (acceptance is a property of the values, not history).
-  const auto reuses_before = batch.counters().symbolic_reuses;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    batch.factor_lane(lane, base.view());
-  }
-  EXPECT_EQ(batch.counters().symbolic_reuses, reuses_before + lanes);
-}
-
-TEST(SparseLuBatch, InvalidateDropsTheAnalysisButKeepsLaneCount) {
-  std::mt19937 rng(67);
-  const std::size_t n = 20;
-  const linalg::SparseMatrix a = random_unsymmetric(n, rng);
-  linalg::SparseLuBatch batch;
-  batch.reset(2);
-  EXPECT_FALSE(batch.analyzed());
-  batch.factor_lane(0, a.view());
-  batch.factor_lane(1, a.view());
-  EXPECT_TRUE(batch.analyzed());
-  EXPECT_EQ(batch.lanes(), 2u);
-
-  batch.invalidate();
-  EXPECT_FALSE(batch.analyzed());
-  EXPECT_EQ(batch.lanes(), 2u);
-
-  // Refactoring after invalidate re-runs the full analysis.
-  batch.factor_lane(0, a.view());
-  EXPECT_TRUE(batch.analyzed());
-  EXPECT_EQ(batch.counters().symbolic_factors, 2u);
-
-  const linalg::Vector b = random_vector(n, rng);
-  linalg::Vector x;
-  batch.solve_lane(0, b, x);
-  EXPECT_LT(rel_error(x, dense_solve(a, b)), 1e-10);
-}
-
-TEST(SparseLuBatch, SingularLaneThrowsLikeStandaloneFactor) {
-  linalg::TripletList trip(3, 3);
-  trip.add(0, 0, 1.0);
-  trip.add(0, 1, 2.0);
-  trip.add(1, 0, 2.0);
-  trip.add(1, 1, 4.0);  // row 1 = 2 * row 0, column 2 empty
-  trip.add(2, 2, 1.0);
-  const linalg::SparseMatrix singular(trip,
-                                      linalg::SparseMatrix::ZeroPolicy::kKeep);
-  linalg::SparseLuBatch batch;
-  batch.reset(2);
-  EXPECT_THROW(batch.factor_lane(0, singular.view()), ftl::Error);
-  EXPECT_FALSE(batch.analyzed());
-
-  // The failed first lane must not leave half-built shared state behind: a
-  // healthy lane afterwards analyses from scratch and solves correctly.
-  std::mt19937 rng(71);
-  const linalg::SparseMatrix a = random_unsymmetric(12, rng);
-  batch.factor_lane(1, a.view());
-  const linalg::Vector b = random_vector(12, rng);
-  linalg::Vector x;
-  batch.solve_lane(1, b, x);
-  EXPECT_LT(rel_error(x, dense_solve(a, b)), 1e-10);
-}
-
 TEST(SparseLu, ThrowsOnSingularMatrix) {
   linalg::TripletList trip(3, 3);
   trip.add(0, 0, 1.0);
@@ -402,6 +268,32 @@ TEST(SparseLu, ThrowsOnSingularMatrix) {
   const linalg::SparseMatrix a(trip, linalg::SparseMatrix::ZeroPolicy::kKeep);
   linalg::SparseLu lu;
   EXPECT_THROW(lu.factor(a), ftl::Error);
+}
+
+TEST(SparseLu, FailedFactorLeavesNothingToReplay) {
+  // Structurally full, numerically singular (row 1 = 2 * row 0): the
+  // elimination records two columns, then finds no pivot for the third.
+  // The half-built record must not count as a factorization, or a replay
+  // of the same pattern would walk past its end.
+  const auto full3 = [](const double (&v)[3][3]) {
+    linalg::TripletList trip(3, 3);
+    for (std::size_t r = 0; r < 3; ++r) {
+      for (std::size_t c = 0; c < 3; ++c) trip.add(r, c, v[r][c]);
+    }
+    return linalg::SparseMatrix(trip, linalg::SparseMatrix::ZeroPolicy::kKeep);
+  };
+  const linalg::SparseMatrix singular =
+      full3({{1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}, {1.0, 1.0, 1.0}});
+  const linalg::SparseMatrix regular =
+      full3({{4.0, 1.0, 1.0}, {1.0, 4.0, 1.0}, {1.0, 1.0, 4.0}});
+  linalg::SparseLu lu;
+  EXPECT_THROW(lu.factor(singular), ftl::Error);
+  ASSERT_FALSE(lu.factored());
+  EXPECT_FALSE(lu.refactor(regular));
+
+  lu.factor(regular);
+  const linalg::Vector b{1.0, 2.0, 3.0};
+  EXPECT_LT(rel_error(lu.solve(b), dense_solve(regular, b)), 1e-12);
 }
 
 // ---- Pattern-cached MNA assembly on real lattice circuits ----------------

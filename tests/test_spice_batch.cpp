@@ -1,18 +1,21 @@
-// Batched corner DC engine: bitwise agreement with standalone
+// Corner batches (dcop_batch): bitwise agreement with standalone
 // dc_operating_point across sparse and dense paths, chain_current_batch
 // parity, per-lane failure reporting, and the process-wide batch_core
-// counters.
+// counters and their attribution.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ftl/bridge/chain_netlist.hpp"
 #include "ftl/bridge/lattice_netlist.hpp"
 #include "ftl/lattice/known_mappings.hpp"
-#include "ftl/spice/batch.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/sources.hpp"
 #include "ftl/util/error.hpp"
@@ -81,8 +84,8 @@ TEST(SpiceBatch, MatchesStandaloneDcopBitwiseOnXor3) {
 
 TEST(SpiceBatch, ChainCurrentBatchMatchesPerPointBitwise) {
   // Fig. 12a sweeps, short chain (dense linear-solver path) and longer
-  // chain (sparse path with lane-blocked LU): the batched sweep must hit
-  // the per-point scalar API exactly.
+  // chain (sparse path, LU replayed across lanes): the batched sweep must
+  // hit the per-point scalar API exactly.
   std::vector<double> volts;
   for (int i = 0; i < 8; ++i) volts.push_back(0.3 + 0.35 * i);
   for (const int count : {1, 4}) {
@@ -100,7 +103,7 @@ TEST(SpiceBatch, CountersAccumulatePerBatchAndLane) {
   const spice::BatchCounters before = spice::batch_counters();
   std::vector<double> volts{0.5, 1.0, 1.5, 2.0};
   // 8 switches put the MNA system above the dense cutover, so the lanes
-  // exercise the lane-blocked sparse LU (the dense path never refactors).
+  // exercise the sparse LU replay (the dense path never refactors).
   bridge::chain_current_batch(8, volts, volts);
   const spice::BatchCounters after = spice::batch_counters();
   EXPECT_EQ(after.batches, before.batches + 1);
@@ -109,7 +112,52 @@ TEST(SpiceBatch, CountersAccumulatePerBatchAndLane) {
   // Lane 0's first Newton iteration pays the one symbolic analysis; later
   // factorizations ride the recorded elimination.
   EXPECT_GT(after.symbolic_reuses, before.symbolic_reuses);
-  EXPECT_GT(after.numeric_refactors, before.numeric_refactors);
+  EXPECT_EQ(after.numeric_refactors - before.numeric_refactors,
+            after.symbolic_reuses - before.symbolic_reuses);
+}
+
+using BatchDeltas = std::array<std::uint64_t, 7>;
+
+BatchDeltas chain_batch_deltas(const std::vector<double>& volts) {
+  const spice::BatchCounters a = spice::batch_counters();
+  bridge::chain_current_batch(8, volts, volts);
+  const spice::BatchCounters b = spice::batch_counters();
+  return {b.batches - a.batches,
+          b.lanes - a.lanes,
+          b.symbolic_factors - a.symbolic_factors,
+          b.symbolic_reuses - a.symbolic_reuses,
+          b.numeric_refactors - a.numeric_refactors,
+          b.lane_fallbacks - a.lane_fallbacks,
+          b.newton_iterations - a.newton_iterations};
+}
+
+TEST(SpiceBatch, CountersCountOnlyTheBatchsOwnWork) {
+  // batch_core is the batch circuit's own solver tally, never a difference
+  // of process-wide totals: Newton solves on another thread's circuit,
+  // running while the batch runs, must not leak into it.
+  const std::vector<double> volts{0.5, 1.0, 1.5, 2.0};
+  const BatchDeltas alone = chain_batch_deltas(volts);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> solves{0};
+  std::thread background([&] {
+    bridge::ChainCircuit other = bridge::build_switch_chain(8, 1.7, 1.7);
+    while (!stop.load()) {
+      spice::dc_operating_point(other.circuit);
+      solves.fetch_add(1);
+    }
+  });
+  while (solves.load() == 0) std::this_thread::yield();
+  // Repeat until a background solve finished inside a batch at least once.
+  int overlapped = 0;
+  for (int round = 0; round < 200 && overlapped < 3; ++round) {
+    const std::uint64_t solves_before = solves.load();
+    EXPECT_EQ(chain_batch_deltas(volts), alone) << "round=" << round;
+    if (solves.load() > solves_before + 1) ++overlapped;
+  }
+  stop = true;
+  background.join();
+  EXPECT_GT(overlapped, 0) << "the background solves never overlapped";
 }
 
 TEST(SpiceBatch, PresolveRejectionFailsEveryLaneWithoutThrowing) {

@@ -10,6 +10,7 @@
 #include "ftl/spice/devices.hpp"
 #include "ftl/spice/mosfet.hpp"
 #include "ftl/spice/sources.hpp"
+#include "ftl/util/error.hpp"
 
 namespace {
 
@@ -184,6 +185,18 @@ TEST(DcSweep, RestoresSourceWaveform) {
                                         Waveform::dc(2.5)));
   c.add(std::make_unique<Resistor>("R1", c.node("in"), Circuit::kGround, 1000.0));
   dc_sweep(c, "VIN", {0.0, 1.0});
+  const auto& src = static_cast<const VoltageSource&>(c.device("VIN"));
+  EXPECT_DOUBLE_EQ(src.waveform().dc_value(), 2.5);
+}
+
+TEST(DcSweep, RestoresSourceWaveformWhenTheSolveThrows) {
+  Circuit c;
+  c.add(std::make_unique<VoltageSource>("VIN", c.node("in"), Circuit::kGround,
+                                        Waveform::dc(2.5)));
+  c.add(std::make_unique<Resistor>("R1", c.node("in"), Circuit::kGround, 1000.0));
+  c.set_presolve_hook(
+      [](const Circuit&) { throw ftl::Error("lint: gate rejected"); });
+  EXPECT_THROW(dc_sweep(c, "VIN", {0.0, 1.0}), ftl::Error);
   const auto& src = static_cast<const VoltageSource&>(c.device("VIN"));
   EXPECT_DOUBLE_EQ(src.waveform().dc_value(), 2.5);
 }

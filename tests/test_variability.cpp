@@ -1,5 +1,6 @@
 // Monte-Carlo variability tests: determinism, degenerate spreads, yield
-// monotonicity, and the per-switch override hook itself.
+// monotonicity, bitwise agreement with the per-trial oracle, symbolic-LU
+// amortization, and the per-switch override hook itself.
 #include <gtest/gtest.h>
 
 #include "ftl/bridge/variability.hpp"
@@ -8,6 +9,7 @@
 #include "ftl/logic/expr_parser.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/util/error.hpp"
+#include "variability_oracle.hpp"
 
 namespace {
 
@@ -60,10 +62,10 @@ TEST(Variability, ParallelMatchesSerialForFixedSeed) {
 }
 
 TEST(Variability, BatchedEngineMatchesPerTrialBitwise) {
-  // The batched engine shares one circuit and one symbolic LU analysis per
-  // worker chunk; the per-trial engine builds a fresh circuit per (trial,
-  // code). Same dice, same stamps, bitwise-identical LU replays — so the
-  // whole result must match byte for byte, not merely statistically.
+  // monte_carlo_yield shares one circuit and one symbolic LU analysis per
+  // worker chunk; the oracle builds a fresh circuit per (trial, code). Same
+  // dice, same stamps, bitwise-identical LU replays — so the whole result
+  // must match byte for byte, not merely statistically.
   const auto f = logic::parse_expression("a b + c").table;
   const auto lat = lattice::altun_riedel_synthesis(f, {"a", "b", "c"});
   bridge::VariabilityOptions batched;
@@ -72,12 +74,9 @@ TEST(Variability, BatchedEngineMatchesPerTrialBitwise) {
   batched.trials = 20;
   batched.seed = 19;
   batched.max_threads = 1;
-  batched.engine = bridge::VariabilityEngine::kBatched;
-  bridge::VariabilityOptions per_trial = batched;
-  per_trial.engine = bridge::VariabilityEngine::kPerTrial;
 
   const auto a = bridge::monte_carlo_yield(lat, f, batched);
-  const auto b = bridge::monte_carlo_yield(lat, f, per_trial);
+  const auto b = oracle::per_trial_yield(lat, f, batched);
   EXPECT_LT(a.passing, a.trials);  // the spread must exercise the fail path
   EXPECT_EQ(a.trials, b.trials);
   EXPECT_EQ(a.passing, b.passing);
@@ -87,9 +86,9 @@ TEST(Variability, BatchedEngineMatchesPerTrialBitwise) {
 
 TEST(Variability, BatchedParallelMatchesBatchedSerialBitwise) {
   // Threads split the batch into contiguous trial chunks, never a trial;
-  // chunk boundaries only move which BatchSolver instance serves a lane,
-  // and every lane is bitwise-deterministic, so the reduction over trial
-  // order cannot see the thread count.
+  // chunk boundaries only move which shared circuit serves a lane, and
+  // every lane is bitwise-deterministic, so the reduction over trial order
+  // cannot see the thread count.
   const auto f = logic::parse_expression("a b + c").table;
   const auto lat = lattice::altun_riedel_synthesis(f, {"a", "b", "c"});
   bridge::VariabilityOptions serial;
@@ -98,7 +97,6 @@ TEST(Variability, BatchedParallelMatchesBatchedSerialBitwise) {
   serial.trials = 18;
   serial.seed = 23;
   serial.max_threads = 1;
-  serial.engine = bridge::VariabilityEngine::kBatched;
   bridge::VariabilityOptions parallel = serial;
   parallel.max_threads = 3;
 
@@ -107,6 +105,24 @@ TEST(Variability, BatchedParallelMatchesBatchedSerialBitwise) {
   EXPECT_EQ(a.passing, b.passing);
   EXPECT_EQ(a.worst_low, b.worst_low);
   EXPECT_EQ(a.worst_high, b.worst_high);
+}
+
+TEST(Variability, SerialYieldPaysOneSymbolicAnalysis) {
+  // One worker chunk builds one circuit and solves every input code's
+  // corners on it, so the sparse LU is analysed once for the whole call;
+  // every other full factor is the re-pivot after a rejected replay.
+  bridge::VariabilityOptions options;
+  options.sigma_vth = 0.05;
+  options.trials = 16;
+  options.max_threads = 1;
+  const spice::BatchCounters before = spice::batch_counters();
+  bridge::monte_carlo_yield(lattice::xor3_lattice_3x3(),
+                            lattice::xor3_truth_table(), options);
+  const spice::BatchCounters after = spice::batch_counters();
+  EXPECT_EQ((after.symbolic_factors - before.symbolic_factors) -
+                (after.lane_fallbacks - before.lane_fallbacks),
+            1u);
+  EXPECT_GT(after.symbolic_reuses, before.symbolic_reuses);
 }
 
 TEST(Variability, LargeSpreadCostsYield) {
