@@ -89,21 +89,21 @@ McRow run_mc_row(const std::string& name, const ftl::lattice::Lattice& lat,
   options.seed = 7;
   options.max_threads = 1;  // single-threaded on both sides: a fair race
 
-  ftl::spice::reset_spice_counters();
+  ftl::spice::spice_core().set.reset();
   auto start = Clock::now();
   const ftl::bridge::VariabilityResult a =
       ftl::oracle::per_trial_yield(lat, target, options);
   row.per_trial_s = seconds_since(start);
   // Every fresh MnaLinearSolver's first factor() is a full symbolic
   // analysis — one per (trial, code) solve on the per-trial path.
-  row.sym_per_trial = ftl::spice::spice_counters().factors;
+  row.sym_per_trial = ftl::spice::spice_core().factors.get();
 
-  ftl::spice::reset_batch_counters();
+  ftl::spice::batch_core().set.reset();
   start = Clock::now();
   const ftl::bridge::VariabilityResult b =
       ftl::bridge::monte_carlo_yield(lat, target, options);
   row.batched_s = seconds_since(start);
-  row.sym_batched = ftl::spice::batch_counters().symbolic_factors;
+  row.sym_batched = ftl::spice::batch_core().symbolic_factors.get();
 
   row.yield = b.yield();
   row.speedup = row.batched_s > 0.0 ? row.per_trial_s / row.batched_s : 0.0;

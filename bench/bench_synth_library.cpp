@@ -193,10 +193,10 @@ int main(int argc, char** argv) {
                  warm_requests - warm_hits, warm_requests);
     ok = false;
   }
-  const ftl::library::LibraryStats stats = lib.stats();
-  if (stats.verify_rejects != 0) {
+  const std::uint64_t verify_rejects = lib.counters().verify_rejects.get();
+  if (verify_rejects != 0) {
     std::fprintf(stderr, "FAIL: %llu library hits failed verification\n",
-                 static_cast<unsigned long long>(stats.verify_rejects));
+                 static_cast<unsigned long long>(verify_rejects));
     ok = false;
   }
 
@@ -246,10 +246,10 @@ int main(int argc, char** argv) {
        << ",\"cold_mean_ms\":" << cold_mean_ms
        << ",\"speedup\":" << speedup
        << ",\"gate_100x\":" << (gate_100x ? "true" : "false")
-       << ",\"library\":{\"classes\":" << stats.classes
-       << ",\"entries\":" << stats.entries
-       << ",\"class_hits\":" << stats.class_hits
-       << ",\"verify_rejects\":" << stats.verify_rejects << "}"
+       << ",\"library\":{\"classes\":" << lib.num_classes()
+       << ",\"entries\":" << lib.num_entries()
+       << ",\"class_hits\":" << lib.counters().class_hits.get()
+       << ",\"verify_rejects\":" << verify_rejects << "}"
        << ",\"ok\":" << (ok ? "true" : "false") << "}\n";
 
   std::printf("%s: %s\n", ok ? "PASS" : "FAIL", out_path.c_str());

@@ -18,6 +18,7 @@
 #include "ftl/tcad/current_density.hpp"
 #include "ftl/tcad/extract.hpp"
 #include "ftl/tcad/sweep.hpp"
+#include "ftl/util/counters.hpp"
 #include "ftl/util/error.hpp"
 #include "ftl/util/strings.hpp"
 #include "ftl/util/thread_pool.hpp"
@@ -417,7 +418,8 @@ Artifact sweep_batch_job(const PipelineOptions& pipeline_options,
                          JobContext& ctx) {
   const bridge::SwitchModelParams model =
       bridge::switch_model_from_level1(level1_from_artifact(ctx.input(0)));
-  const spice::BatchCounters before = spice::batch_counters();
+  const std::vector<util::CounterValue> before =
+      spice::batch_core().set.snapshot();
 
   bridge::VariabilityOptions vo;
   vo.sigma_vth = 0.01;
@@ -450,19 +452,12 @@ Artifact sweep_batch_job(const PipelineOptions& pipeline_options,
   // batch_core deltas. Each dcop_batch adds only its own circuit's work to
   // these totals, and no other pipeline job runs dcop_batch, so the
   // difference is this job's batches.
-  const spice::BatchCounters after = spice::batch_counters();
-  ctx.counter("batches", static_cast<double>(after.batches - before.batches));
-  ctx.counter("lanes", static_cast<double>(after.lanes - before.lanes));
-  ctx.counter("symbolic_reuses", static_cast<double>(after.symbolic_reuses -
-                                                     before.symbolic_reuses));
-  ctx.counter("numeric_refactors", static_cast<double>(
-                                       after.numeric_refactors -
-                                       before.numeric_refactors));
-  ctx.counter("lane_fallbacks", static_cast<double>(after.lane_fallbacks -
-                                                    before.lane_fallbacks));
-  ctx.counter("newton_iterations", static_cast<double>(
-                                       after.newton_iterations -
-                                       before.newton_iterations));
+  const std::vector<util::CounterValue> after =
+      spice::batch_core().set.snapshot();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    ctx.counter(after[i].key,
+                static_cast<double>(after[i].value - before[i].value));
+  }
   return out;
 }
 

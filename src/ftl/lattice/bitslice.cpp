@@ -38,7 +38,9 @@ std::uint64_t connected_lanes(const std::uint64_t* states, int rows, int cols,
                               std::uint64_t abort_zero_mask,
                               std::vector<std::uint64_t>& scratch) {
   FTL_EXPECTS(rows >= 1 && cols >= 1);
-  detail::count_block();
+  EvalCore& counters = eval_core();
+  counters.blocks.add();
+  counters.assignments.add(64);
 
   const int n = rows * cols;
   scratch.assign(static_cast<std::size_t>(n), 0);

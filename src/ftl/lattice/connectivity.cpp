@@ -1,6 +1,5 @@
 #include "ftl/lattice/connectivity.hpp"
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -9,41 +8,9 @@
 
 namespace ftl::lattice {
 
-namespace detail {
-namespace {
-
-std::atomic<std::uint64_t> g_assignments{0};
-std::atomic<std::uint64_t> g_blocks{0};
-std::atomic<std::uint64_t> g_lut_hits{0};
-std::atomic<std::uint64_t> g_lut_builds{0};
-
-}  // namespace
-
-void count_block() {
-  g_blocks.fetch_add(1, std::memory_order_relaxed);
-  g_assignments.fetch_add(64, std::memory_order_relaxed);
-}
-
-void count_lut(bool hit) {
-  (hit ? g_lut_hits : g_lut_builds).fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace detail
-
-EvalCounters eval_counters() {
-  EvalCounters c;
-  c.assignments = detail::g_assignments.load(std::memory_order_relaxed);
-  c.blocks = detail::g_blocks.load(std::memory_order_relaxed);
-  c.lut_hits = detail::g_lut_hits.load(std::memory_order_relaxed);
-  c.lut_builds = detail::g_lut_builds.load(std::memory_order_relaxed);
-  return c;
-}
-
-void reset_eval_counters() {
-  detail::g_assignments.store(0, std::memory_order_relaxed);
-  detail::g_blocks.store(0, std::memory_order_relaxed);
-  detail::g_lut_hits.store(0, std::memory_order_relaxed);
-  detail::g_lut_builds.store(0, std::memory_order_relaxed);
+EvalCore& eval_core() {
+  static EvalCore counters;
+  return counters;
 }
 
 namespace {
@@ -122,7 +89,7 @@ const std::vector<bool>& connectivity_lut_cached(int rows, int cols) {
     slot = std::make_unique<const std::vector<bool>>(
         connectivity_lut(rows, cols));
   }
-  detail::count_lut(hit);
+  (hit ? eval_core().lut_hits : eval_core().lut_builds).add();
   return *slot;
 }
 

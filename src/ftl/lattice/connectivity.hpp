@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "ftl/util/counters.hpp"
+
 namespace ftl::lattice {
 
 /// BFS connectivity query on an explicit state grid (row-major, rows*cols).
@@ -29,26 +31,15 @@ std::vector<bool> connectivity_lut(int rows, int cols);
 const std::vector<bool>& connectivity_lut_cached(int rows, int cols);
 
 /// Evaluation-core counters, accumulated process-wide across every engine
-/// (bitsliced blocks, cached-LUT lookups). Monotonic; surfaced by the serve
-/// `stats` op so throughput regressions are observable in production.
-struct EvalCounters {
-  std::uint64_t assignments = 0;  ///< input assignments evaluated (64/block)
-  std::uint64_t blocks = 0;       ///< 64-wide bitsliced blocks propagated
-  std::uint64_t lut_hits = 0;     ///< connectivity_lut_cached served from memo
-  std::uint64_t lut_builds = 0;   ///< connectivity_lut_cached tables built
+/// and reported by the serve `stats` op as `eval_core`.
+struct EvalCore {
+  util::CounterSet set{"eval_core"};
+  util::Counter& assignments = set.declare("assignments");  ///< 64 per block
+  util::Counter& blocks = set.declare("blocks");  ///< bitsliced blocks run
+  util::Counter& lut_hits = set.declare("lut_hits");  ///< LUT memo hits
+  util::Counter& lut_builds = set.declare("lut_builds");  ///< LUTs built
 };
 
-/// Snapshot of the process-wide counters (relaxed atomics: values are
-/// individually exact but not mutually synchronized).
-EvalCounters eval_counters();
-
-/// Resets all counters to zero (test support).
-void reset_eval_counters();
-
-namespace detail {
-/// Accounting hooks for the kernels (relaxed atomic increments).
-void count_block();
-void count_lut(bool hit);
-}  // namespace detail
+EvalCore& eval_core();
 
 }  // namespace ftl::lattice

@@ -85,7 +85,7 @@ SatSynthesisResult synth_sat(const logic::TruthTable& target, int rows,
 
     const sat::LBool verdict = solver.solve();
     ++result.cegar_rounds;
-    sat::detail::count_cegar_round();
+    sat::sat_core().cegar_rounds.add();
     if (verdict == sat::LBool::kFalse) {
       result.proven_infeasible = true;
       // The solver certified its LRAT proof on the UNSAT exit (certify);

@@ -168,7 +168,7 @@ std::optional<LibraryClass> LatticeLibrary::fault_in(std::uint64_t key) {
   } catch (const std::exception&) {
     return std::nullopt;  // corrupt record reads as a miss, like ResultCache
   }
-  counters_.disk_loads.fetch_add(1, std::memory_order_relaxed);
+  counters_.disk_loads.add();
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.classes.try_emplace(key, loaded);
@@ -224,13 +224,13 @@ bool LatticeLibrary::insert(std::uint64_t key,
   }
   if (!kept) return false;
   if (was_filled) {
-    counters_.improvements.fetch_add(1, std::memory_order_relaxed);
+    counters_.improvements.add();
   } else {
-    counters_.populates.fetch_add(1, std::memory_order_relaxed);
+    counters_.populates.add();
   }
   if (cache_) {
     cache_->store(kJobName, key, class_to_artifact(to_store));
-    counters_.disk_stores.fetch_add(1, std::memory_order_relaxed);
+    counters_.disk_stores.add();
   }
   return true;
 }
@@ -251,7 +251,7 @@ bool LatticeLibrary::stamp_certified(std::uint64_t key, bool complement,
   }
   if (cache_) {
     cache_->store(kJobName, key, class_to_artifact(to_store));
-    counters_.disk_stores.fetch_add(1, std::memory_order_relaxed);
+    counters_.disk_stores.add();
   }
   return true;
 }
@@ -311,26 +311,6 @@ std::size_t LatticeLibrary::num_entries() const {
     }
   }
   return n;
-}
-
-LibraryStats LatticeLibrary::stats() const {
-  LibraryStats s;
-  const auto get = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  s.lookups = get(counters_.lookups);
-  s.class_hits = get(counters_.class_hits);
-  s.misses = get(counters_.misses);
-  s.unapplies = get(counters_.unapplies);
-  s.output_inversions = get(counters_.output_inversions);
-  s.verify_rejects = get(counters_.verify_rejects);
-  s.populates = get(counters_.populates);
-  s.improvements = get(counters_.improvements);
-  s.disk_loads = get(counters_.disk_loads);
-  s.disk_stores = get(counters_.disk_stores);
-  s.classes = num_classes();
-  s.entries = num_entries();
-  return s;
 }
 
 }  // namespace ftl::library

@@ -15,7 +15,6 @@
 // corrupt or truncated file reads as a miss.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -26,6 +25,7 @@
 #include "ftl/jobs/cache.hpp"
 #include "ftl/lattice/lattice.hpp"
 #include "ftl/logic/truth_table.hpp"
+#include "ftl/util/counters.hpp"
 
 namespace ftl::library {
 
@@ -52,36 +52,23 @@ struct LibraryClass {
   std::optional<LibraryEntry> complement;
 };
 
-/// Monotonic library counters (relaxed atomics; exact totals are not worth
-/// a contended cache line). The lookup-path counters are bumped by
+/// Monotonic counters of one library, reported by the serve `stats` op in
+/// `library_core`. The lookup-path counters are bumped by
 /// library::synthesize, the mutation/disk counters by the store itself.
+/// class_hits vs misses is the headline ratio: a hit answers a synth
+/// request with no engine work.
 struct LibraryCounters {
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> class_hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> unapplies{0};
-  std::atomic<std::uint64_t> output_inversions{0};
-  std::atomic<std::uint64_t> verify_rejects{0};
-  std::atomic<std::uint64_t> populates{0};
-  std::atomic<std::uint64_t> improvements{0};
-  std::atomic<std::uint64_t> disk_loads{0};
-  std::atomic<std::uint64_t> disk_stores{0};
-};
-
-/// Plain snapshot of LibraryCounters plus the index gauges, for `stats`.
-struct LibraryStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t class_hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t unapplies = 0;
-  std::uint64_t output_inversions = 0;
-  std::uint64_t verify_rejects = 0;
-  std::uint64_t populates = 0;
-  std::uint64_t improvements = 0;
-  std::uint64_t disk_loads = 0;
-  std::uint64_t disk_stores = 0;
-  std::uint64_t classes = 0;  ///< gauge: classes in the in-memory index
-  std::uint64_t entries = 0;  ///< gauge: filled phase slots
+  util::CounterSet set{"library_core"};
+  util::Counter& lookups = set.declare("lookups");
+  util::Counter& class_hits = set.declare("class_hits");
+  util::Counter& misses = set.declare("misses");
+  util::Counter& unapplies = set.declare("unapplies");
+  util::Counter& output_inversions = set.declare("output_inversions");
+  util::Counter& verify_rejects = set.declare("verify_rejects");
+  util::Counter& populates = set.declare("populates");
+  util::Counter& improvements = set.declare("improvements");
+  util::Counter& disk_loads = set.declare("disk_loads");
+  util::Counter& disk_stores = set.declare("disk_stores");
 };
 
 class LatticeLibrary {
@@ -126,7 +113,6 @@ class LatticeLibrary {
   std::size_t num_entries() const;
 
   LibraryCounters& counters() { return counters_; }
-  LibraryStats stats() const;
 
  private:
   struct Shard {

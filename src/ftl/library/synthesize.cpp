@@ -9,10 +9,6 @@
 namespace ftl::library {
 namespace {
 
-void bump(std::atomic<std::uint64_t>& counter) {
-  counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Shared hit path: find the class slot matching the transform's output
 /// phase, un-apply the transform onto the stored lattice, pad to the
 /// requested shape, and bitslice-verify. Any failure along the way counts
@@ -22,28 +18,28 @@ std::optional<lattice::Lattice> library_lookup(
     const NpnCanonical& canon, std::uint64_t key, int rows, int cols,
     const std::vector<std::string>& var_names) {
   LibraryCounters& counters = lib.counters();
-  bump(counters.lookups);
+  counters.lookups.add();
   const bool phase = canon.transform.output_negation;
   const std::optional<LibraryEntry> entry = lib.find(key, phase);
   if (!entry ||
       (rows > 0 && cols > 0 &&
        (entry->lattice.rows() > rows || entry->lattice.cols() > cols))) {
-    bump(counters.misses);
+    counters.misses.add();
     return std::nullopt;
   }
   const NpnTransform un = inverse(canon.transform).without_output_negation();
   lattice::Lattice lat = relabel_lattice(entry->lattice, un, var_names);
-  bump(counters.unapplies);
-  if (phase) bump(counters.output_inversions);
+  counters.unapplies.add();
+  if (phase) counters.output_inversions.add();
   if (rows > 0 && cols > 0 && (lat.rows() != rows || lat.cols() != cols)) {
     lat = pad_lattice(lat, rows, cols);
   }
   if (!lattice::realizes(lat, target)) {
-    bump(counters.verify_rejects);
-    bump(counters.misses);
+    counters.verify_rejects.add();
+    counters.misses.add();
     return std::nullopt;
   }
-  bump(counters.class_hits);
+  counters.class_hits.add();
   return lat;
 }
 

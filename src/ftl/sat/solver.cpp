@@ -1,7 +1,6 @@
 #include "ftl/sat/solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 
@@ -10,31 +9,6 @@
 
 namespace ftl::sat {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Process-wide counters (relaxed: individually exact, mutually unordered).
-
-struct AtomicCounters {
-  std::atomic<std::uint64_t> solves{0};
-  std::atomic<std::uint64_t> sat{0};
-  std::atomic<std::uint64_t> unsat{0};
-  std::atomic<std::uint64_t> conflicts{0};
-  std::atomic<std::uint64_t> decisions{0};
-  std::atomic<std::uint64_t> propagations{0};
-  std::atomic<std::uint64_t> restarts{0};
-  std::atomic<std::uint64_t> learned_clauses{0};
-  std::atomic<std::uint64_t> minimized_literals{0};
-  std::atomic<std::uint64_t> cegar_rounds{0};
-  std::atomic<std::uint64_t> proof_clauses{0};
-  std::atomic<std::uint64_t> proof_checks{0};
-  std::atomic<std::uint64_t> proof_failures{0};
-  std::atomic<std::uint64_t> proof_check_ns{0};
-};
-
-AtomicCounters& counters() {
-  static AtomicCounters instance;
-  return instance;
-}
 
 /// splitmix64 finalizer — the seed jitter must spread consecutive variable
 /// indices across the activity range, and the raw seed+index sum does not.
@@ -65,51 +39,10 @@ double luby(double y, int i) {
 
 }  // namespace
 
-SatCounters sat_counters() {
-  AtomicCounters& c = counters();
-  SatCounters out;
-  out.solves = c.solves.load(std::memory_order_relaxed);
-  out.sat = c.sat.load(std::memory_order_relaxed);
-  out.unsat = c.unsat.load(std::memory_order_relaxed);
-  out.conflicts = c.conflicts.load(std::memory_order_relaxed);
-  out.decisions = c.decisions.load(std::memory_order_relaxed);
-  out.propagations = c.propagations.load(std::memory_order_relaxed);
-  out.restarts = c.restarts.load(std::memory_order_relaxed);
-  out.learned_clauses = c.learned_clauses.load(std::memory_order_relaxed);
-  out.minimized_literals =
-      c.minimized_literals.load(std::memory_order_relaxed);
-  out.cegar_rounds = c.cegar_rounds.load(std::memory_order_relaxed);
-  out.proof_clauses = c.proof_clauses.load(std::memory_order_relaxed);
-  out.proof_checks = c.proof_checks.load(std::memory_order_relaxed);
-  out.proof_failures = c.proof_failures.load(std::memory_order_relaxed);
-  out.proof_check_us =
-      c.proof_check_ns.load(std::memory_order_relaxed) / 1000;
-  return out;
+SatCore& sat_core() {
+  static SatCore counters;
+  return counters;
 }
-
-void reset_sat_counters() {
-  AtomicCounters& c = counters();
-  c.solves.store(0, std::memory_order_relaxed);
-  c.sat.store(0, std::memory_order_relaxed);
-  c.unsat.store(0, std::memory_order_relaxed);
-  c.conflicts.store(0, std::memory_order_relaxed);
-  c.decisions.store(0, std::memory_order_relaxed);
-  c.propagations.store(0, std::memory_order_relaxed);
-  c.restarts.store(0, std::memory_order_relaxed);
-  c.learned_clauses.store(0, std::memory_order_relaxed);
-  c.minimized_literals.store(0, std::memory_order_relaxed);
-  c.cegar_rounds.store(0, std::memory_order_relaxed);
-  c.proof_clauses.store(0, std::memory_order_relaxed);
-  c.proof_checks.store(0, std::memory_order_relaxed);
-  c.proof_failures.store(0, std::memory_order_relaxed);
-  c.proof_check_ns.store(0, std::memory_order_relaxed);
-}
-
-namespace detail {
-void count_cegar_round() {
-  counters().cegar_rounds.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 
@@ -253,15 +186,14 @@ struct Solver::Impl {
     if (!last_check) last_check = std::make_unique<ProofCheckResult>();
     *last_check = checker->verdict(conflict);
     ++proof.checks;
-    AtomicCounters& c = counters();
-    c.proof_checks.fetch_add(1, std::memory_order_relaxed);
+    SatCore& c = sat_core();
+    c.proof_checks.add();
     if (!last_check->valid) {
       ++proof.failures;
-      c.proof_failures.fetch_add(1, std::memory_order_relaxed);
+      c.proof_failures.add();
     }
-    c.proof_check_ns.fetch_add(
-        static_cast<std::uint64_t>(std::llround(last_check->check_ms * 1e6)),
-        std::memory_order_relaxed);
+    c.proof_check_ns.add(
+        static_cast<std::uint64_t>(std::llround(last_check->check_ms * 1e6)));
   }
 
   /// One watch-list entry: the watching clause plus a "blocker" literal —
@@ -845,25 +777,18 @@ struct Solver::Impl {
   }
 
   void flush_counters(LBool result) {
-    AtomicCounters& c = counters();
-    c.solves.fetch_add(1, std::memory_order_relaxed);
-    if (result == LBool::kTrue) c.sat.fetch_add(1, std::memory_order_relaxed);
-    if (result == LBool::kFalse) c.unsat.fetch_add(1, std::memory_order_relaxed);
-    c.conflicts.fetch_add(stats.conflicts - flushed.conflicts,
-                          std::memory_order_relaxed);
-    c.decisions.fetch_add(stats.decisions - flushed.decisions,
-                          std::memory_order_relaxed);
-    c.propagations.fetch_add(stats.propagations - flushed.propagations,
-                             std::memory_order_relaxed);
-    c.restarts.fetch_add(stats.restarts - flushed.restarts,
-                         std::memory_order_relaxed);
-    c.learned_clauses.fetch_add(stats.learned_clauses - flushed.learned_clauses,
-                                std::memory_order_relaxed);
-    c.minimized_literals.fetch_add(
-        stats.minimized_literals - flushed.minimized_literals,
-        std::memory_order_relaxed);
-    c.proof_clauses.fetch_add(proof.derived - flushed_proof_clauses,
-                              std::memory_order_relaxed);
+    SatCore& c = sat_core();
+    c.solves.add();
+    if (result == LBool::kTrue) c.sat.add();
+    if (result == LBool::kFalse) c.unsat.add();
+    c.conflicts.add(stats.conflicts - flushed.conflicts);
+    c.decisions.add(stats.decisions - flushed.decisions);
+    c.propagations.add(stats.propagations - flushed.propagations);
+    c.restarts.add(stats.restarts - flushed.restarts);
+    c.learned_clauses.add(stats.learned_clauses - flushed.learned_clauses);
+    c.minimized_literals.add(stats.minimized_literals -
+                             flushed.minimized_literals);
+    c.proof_clauses.add(proof.derived - flushed_proof_clauses);
     flushed_proof_clauses = proof.derived;
     flushed = stats;
   }

@@ -20,6 +20,8 @@
 #include <memory>
 #include <vector>
 
+#include "ftl/util/counters.hpp"
+
 namespace ftl::sat {
 
 /// 0-based propositional variable index.
@@ -168,37 +170,32 @@ class Solver {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Process-wide solver counters (relaxed atomics, monotonic), surfaced by
-/// the serve `stats` op as `sat_core` so production SAT load is observable.
-/// Flushed once per solve() call, not per propagation, so the hot loop pays
-/// no atomic traffic.
-struct SatCounters {
-  std::uint64_t solves = 0;
-  std::uint64_t sat = 0;      ///< solve() calls returning kTrue
-  std::uint64_t unsat = 0;    ///< solve() calls returning kFalse
-  std::uint64_t conflicts = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t learned_clauses = 0;
-  std::uint64_t minimized_literals = 0;  ///< dropped by clause minimization
-  std::uint64_t cegar_rounds = 0;  ///< refinement rounds (lattice::synth_sat)
-  std::uint64_t proof_clauses = 0;   ///< derived clauses logged to proofs
-  std::uint64_t proof_checks = 0;    ///< certified kFalse verdicts
-  std::uint64_t proof_failures = 0;  ///< ... whose proof was rejected
-  /// Cumulative checker wall-clock (µs), summed in nanoseconds.
-  std::uint64_t proof_check_us = 0;
+/// Process-wide solver counters, reported by the serve `stats` op as
+/// `sat_core`. Flushed once per solve() call, not per propagation, so the
+/// hot loop pays no atomic traffic.
+struct SatCore {
+  util::CounterSet set{"sat_core"};
+  util::Counter& solves = set.declare("solves");
+  util::Counter& sat = set.declare("sat");      ///< solve() calls giving kTrue
+  util::Counter& unsat = set.declare("unsat");  ///< solve() calls giving kFalse
+  util::Counter& conflicts = set.declare("conflicts");
+  util::Counter& decisions = set.declare("decisions");
+  util::Counter& propagations = set.declare("propagations");
+  util::Counter& restarts = set.declare("restarts");
+  util::Counter& learned_clauses = set.declare("learned_clauses");
+  /// literals dropped by clause minimization
+  util::Counter& minimized_literals = set.declare("minimized_literals");
+  /// refinement rounds of the CEGAR drivers (lattice::synth_sat)
+  util::Counter& cegar_rounds = set.declare("cegar_rounds");
+  /// derived clauses logged to proofs
+  util::Counter& proof_clauses = set.declare("proof_clauses");
+  /// certified kFalse verdicts, and those whose proof was rejected
+  util::Counter& proof_checks = set.declare("proof_checks");
+  util::Counter& proof_failures = set.declare("proof_failures");
+  /// cumulative checker wall-clock, summed in ns and reported in µs
+  util::Counter& proof_check_ns = set.declare("proof_check_us", 1000);
 };
 
-/// Snapshot of the process-wide counters.
-SatCounters sat_counters();
-
-/// Resets all counters to zero (test support).
-void reset_sat_counters();
-
-namespace detail {
-/// Accounting hook for CEGAR drivers (relaxed atomic increment).
-void count_cegar_round();
-}  // namespace detail
+SatCore& sat_core();
 
 }  // namespace ftl::sat

@@ -34,6 +34,7 @@
 #include "ftl/serve/json.hpp"
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/linear_solver.hpp"
+#include "ftl/util/counters.hpp"
 #include "ftl/util/thread_pool.hpp"
 
 namespace ftl::serve {
@@ -209,12 +210,21 @@ LatticeSpec lattice_spec_from(const JsonValue& req) {
 
 namespace {
 
+/// Most transient steps per input code one measurement may take: 50x the
+/// default 200 (40 ns at 0.2 ns), which still admits a 0.005 ns reference
+/// step at the default phase. Every step is recorded and the deadline is
+/// checked only between stages, so this is what bounds one request's work.
+constexpr double kMaxStepsPerPhase = 10000.0;
+
 bridge::MeasureOptions measure_options_from(const JsonValue& req) {
   bridge::MeasureOptions opts;
   const double phase_ns = req.number_or("phase_ns", 40.0);
   const double dt_ns = req.number_or("dt_ns", 0.2);
-  if (!(dt_ns > 0.0) || !(phase_ns >= 4.0 * dt_ns) || phase_ns > 1e6) {
-    throw Error("'phase_ns'/'dt_ns' must satisfy 0 < dt_ns <= phase_ns/4 <= 250000");
+  if (!(dt_ns > 0.0) || !(phase_ns >= 4.0 * dt_ns) || phase_ns > 1e6 ||
+      phase_ns / dt_ns > kMaxStepsPerPhase) {
+    throw Error(
+        "'phase_ns'/'dt_ns' must satisfy 0 < dt_ns <= phase_ns/4 <= 250000 "
+        "and phase_ns/dt_ns <= 10000");
   }
   opts.phase_time = phase_ns * 1e-9;
   opts.dt = dt_ns * 1e-9;
@@ -747,17 +757,19 @@ struct Service::Impl {
     bool line_cacheable = false;
   };
 
-  /// Cache-core counters, surfaced by the `stats` op (relaxed atomics in
-  /// the style of lattice::eval_counters). `memory_misses` counts sharded
-  /// in-memory lookups that missed (a computed request probes twice: once
-  /// on the submit fast path, once at execute).
+  /// Response-cache counters of this service, reported in `stats` as
+  /// `cache_core`. `memory_misses` counts sharded in-memory lookups that
+  /// missed (a computed request probes twice: once on the submit fast path,
+  /// once at execute); `shard_contention` counts shard-lock acquisitions
+  /// that had to wait.
   struct CacheCounters {
-    std::atomic<std::uint64_t> memory_hits{0};
-    std::atomic<std::uint64_t> memory_misses{0};
-    std::atomic<std::uint64_t> line_hits{0};
-    std::atomic<std::uint64_t> disk_hits{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> shard_contention{0};
+    util::CounterSet set{"cache_core"};
+    util::Counter& memory_hits = set.declare("memory_hits");
+    util::Counter& memory_misses = set.declare("memory_misses");
+    util::Counter& line_hits = set.declare("line_hits");
+    util::Counter& disk_hits = set.declare("disk_hits");
+    util::Counter& stores = set.declare("stores");
+    util::Counter& shard_contention = set.declare("shard_contention");
   };
 
   /// Runs one parsed request. Never throws.
@@ -847,113 +859,38 @@ struct Service::Impl {
             JsonValue::number(static_cast<double>(pool.active_tasks())));
     svc.set("draining", JsonValue::boolean(draining.load()));
     body.set("service", std::move(svc));
-    // Evaluation-core counters (process-wide, monotonic): how many input
-    // assignments the lattice kernels have evaluated, in how many bitsliced
-    // blocks, and how the connectivity-LUT memo is doing. They live in the
-    // uncached `stats` op on purpose — the `metrics` op is cached with a
+    // Counter sections, in the reply's fixed order. They live in the
+    // uncached `stats` op on purpose: the `metrics` op is cached with a
     // cached==computed byte-equality guarantee that volatile counters would
-    // break.
-    const lattice::EvalCounters ec = lattice::eval_counters();
-    JsonValue eval_core = JsonValue::object();
-    eval_core.set("assignments",
-                  JsonValue::number(static_cast<double>(ec.assignments)));
-    eval_core.set("blocks", JsonValue::number(static_cast<double>(ec.blocks)));
-    eval_core.set("lut_hits",
-                  JsonValue::number(static_cast<double>(ec.lut_hits)));
-    eval_core.set("lut_builds",
-                  JsonValue::number(static_cast<double>(ec.lut_builds)));
-    body.set("eval_core", std::move(eval_core));
-    // Response-cache counters (per-service, relaxed atomics): sharded
-    // in-memory hits/misses, verbatim-line fast-path hits, disk promotions,
-    // stores, and how often two threads actually contended on one shard
-    // lock. Uncached for the same reason as eval_core.
-    JsonValue cache_core = JsonValue::object();
-    const auto get = [](const std::atomic<std::uint64_t>& c) {
-      return JsonValue::number(
-          static_cast<double>(c.load(std::memory_order_relaxed)));
+    // break. The list is explicit rather than self-registered, because a
+    // static library drops the object files nothing references, and with
+    // them any section they would register.
+    const auto add_counters = [](JsonValue& out, const util::CounterSet& set) {
+      for (const util::CounterValue& c : set.snapshot()) {
+        out.set(c.key, JsonValue::number(static_cast<double>(c.value)));
+      }
     };
-    cache_core.set("memory_hits", get(cache_counters.memory_hits));
-    cache_core.set("memory_misses", get(cache_counters.memory_misses));
-    cache_core.set("line_hits", get(cache_counters.line_hits));
-    cache_core.set("disk_hits", get(cache_counters.disk_hits));
-    cache_core.set("stores", get(cache_counters.stores));
-    cache_core.set("shard_contention", get(cache_counters.shard_contention));
-    cache_core.set("shards",
-                   JsonValue::number(static_cast<double>(kCacheShards)));
-    body.set("cache_core", std::move(cache_core));
-    // SAT-core counters (process-wide, monotonic): CDCL work done by the
-    // synth_sat op and the SAT equivalence backend, flushed once per
-    // solve() call. Same volatility argument as eval_core.
-    const sat::SatCounters sc = sat::sat_counters();
-    JsonValue sat_core = JsonValue::object();
-    const auto get_u64 = [](std::uint64_t v) {
-      return JsonValue::number(static_cast<double>(v));
-    };
-    sat_core.set("solves", get_u64(sc.solves));
-    sat_core.set("sat", get_u64(sc.sat));
-    sat_core.set("unsat", get_u64(sc.unsat));
-    sat_core.set("conflicts", get_u64(sc.conflicts));
-    sat_core.set("decisions", get_u64(sc.decisions));
-    sat_core.set("propagations", get_u64(sc.propagations));
-    sat_core.set("restarts", get_u64(sc.restarts));
-    sat_core.set("learned_clauses", get_u64(sc.learned_clauses));
-    sat_core.set("minimized_literals", get_u64(sc.minimized_literals));
-    sat_core.set("cegar_rounds", get_u64(sc.cegar_rounds));
-    sat_core.set("proof_clauses", get_u64(sc.proof_clauses));
-    sat_core.set("proof_checks", get_u64(sc.proof_checks));
-    sat_core.set("proof_failures", get_u64(sc.proof_failures));
-    sat_core.set("proof_check_us", get_u64(sc.proof_check_us));
-    body.set("sat_core", std::move(sat_core));
-    // SPICE-core counters (process-wide, monotonic): every Newton
-    // iteration's LU work, corner batches included — how often the sparse
-    // LU got away with a numeric-only refactor vs a full factorization, and
-    // how often sparse pivoting degraded to the dense fallback. Driven by
-    // the metrics, sweep_batch and explore ops.
-    const spice::SpiceCounters spc = spice::spice_counters();
-    JsonValue spice_core = JsonValue::object();
-    spice_core.set("newton_iterations", get_u64(spc.newton_iterations));
-    spice_core.set("factors", get_u64(spc.factors));
-    spice_core.set("refactors", get_u64(spc.refactors));
-    spice_core.set("dense_fallbacks", get_u64(spc.dense_fallbacks));
-    spice_core.set("dense_solves", get_u64(spc.dense_solves));
-    body.set("spice_core", std::move(spice_core));
-    // Corner-batch counters (process-wide, monotonic): the share of the
-    // spice_core work done inside dcop_batch, flushed once per batch from
-    // the batch circuit's own solver tally. symbolic_reuses /
-    // (symbolic_factors + symbolic_reuses) is the headline amortization
-    // ratio; lane_fallbacks counts replays whose pivot order drifted off
-    // the recorded analysis. Driven by the sweep_batch, metrics and explore
-    // ops.
-    const spice::BatchCounters bc = spice::batch_counters();
-    JsonValue batch_core = JsonValue::object();
-    batch_core.set("batches", get_u64(bc.batches));
-    batch_core.set("lanes", get_u64(bc.lanes));
-    batch_core.set("symbolic_factors", get_u64(bc.symbolic_factors));
-    batch_core.set("symbolic_reuses", get_u64(bc.symbolic_reuses));
-    batch_core.set("numeric_refactors", get_u64(bc.numeric_refactors));
-    batch_core.set("lane_fallbacks", get_u64(bc.lane_fallbacks));
-    batch_core.set("newton_iterations", get_u64(bc.newton_iterations));
-    body.set("batch_core", std::move(batch_core));
-    // Lattice-library counters (per-service, relaxed atomics): how the NPN
-    // class store is doing. class_hits vs misses is the headline ratio —
-    // every hit is a synth request answered with zero engine work (clients
-    // can cross-check: a hit moves no sat_core or eval-search counters).
+    for (const util::CounterSet* set :
+         {&lattice::eval_core().set, &cache_counters.set, &sat::sat_core().set,
+          &spice::spice_core().set, &spice::batch_core().set}) {
+      JsonValue section = JsonValue::object();
+      add_counters(section, *set);
+      if (set == &cache_counters.set) {
+        section.set("shards",
+                    JsonValue::number(static_cast<double>(kCacheShards)));
+      }
+      body.set(set->name(), std::move(section));
+    }
+    // The library's index gauges lead its counters; a disabled library
+    // reports only `enabled`.
     JsonValue library_core = JsonValue::object();
     library_core.set("enabled", JsonValue::boolean(lib != nullptr));
     if (lib) {
-      const library::LibraryStats ls = lib->stats();
-      library_core.set("classes", get_u64(ls.classes));
-      library_core.set("entries", get_u64(ls.entries));
-      library_core.set("lookups", get_u64(ls.lookups));
-      library_core.set("class_hits", get_u64(ls.class_hits));
-      library_core.set("misses", get_u64(ls.misses));
-      library_core.set("unapplies", get_u64(ls.unapplies));
-      library_core.set("output_inversions", get_u64(ls.output_inversions));
-      library_core.set("verify_rejects", get_u64(ls.verify_rejects));
-      library_core.set("populates", get_u64(ls.populates));
-      library_core.set("improvements", get_u64(ls.improvements));
-      library_core.set("disk_loads", get_u64(ls.disk_loads));
-      library_core.set("disk_stores", get_u64(ls.disk_stores));
+      const double classes = static_cast<double>(lib->num_classes());
+      const double entries = static_cast<double>(lib->num_entries());
+      library_core.set("classes", JsonValue::number(classes));
+      library_core.set("entries", JsonValue::number(entries));
+      add_counters(library_core, lib->counters().set);
     }
     body.set("library_core", std::move(library_core));
     return body;
@@ -1006,7 +943,7 @@ struct Service::Impl {
   std::unique_lock<std::mutex> shard_lock(std::mutex& m) {
     std::unique_lock<std::mutex> lock(m, std::try_to_lock);
     if (!lock.owns_lock()) {
-      cache_counters.shard_contention.fetch_add(1, std::memory_order_relaxed);
+      cache_counters.shard_contention.add();
       lock.lock();
     }
     return lock;
@@ -1019,17 +956,17 @@ struct Service::Impl {
       auto lock = shard_lock(shard.m);
       const auto it = shard.map.find(key);
       if (it != shard.map.end()) {
-        cache_counters.memory_hits.fetch_add(1, std::memory_order_relaxed);
+        cache_counters.memory_hits.add();
         return it->second;
       }
     }
-    cache_counters.memory_misses.fetch_add(1, std::memory_order_relaxed);
+    cache_counters.memory_misses.add();
     if (disk) {
       if (std::optional<jobs::Artifact> art = disk->load(op, key)) {
         const auto it = art->notes.find("response");
         if (it != art->notes.end()) {
           std::string body = decode_note(it->second);
-          cache_counters.disk_hits.fetch_add(1, std::memory_order_relaxed);
+          cache_counters.disk_hits.add();
           auto lock = shard_lock(shard.m);
           shard.map.emplace(key, body);
           return body;
@@ -1046,7 +983,7 @@ struct Service::Impl {
       auto lock = shard_lock(shard.m);
       shard.map.emplace(key, body);
     }
-    cache_counters.stores.fetch_add(1, std::memory_order_relaxed);
+    cache_counters.stores.add();
     if (disk) {
       try {
         jobs::Artifact art;
@@ -1075,7 +1012,7 @@ struct Service::Impl {
     auto lock = shard_lock(shard.m);
     const auto it = shard.map.find(h);
     if (it == shard.map.end() || it->second.line != line) return std::nullopt;
-    cache_counters.line_hits.fetch_add(1, std::memory_order_relaxed);
+    cache_counters.line_hits.add();
     return LineHit{it->second.op, it->second.response, it->second.key};
   }
 

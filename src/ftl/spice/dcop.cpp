@@ -1,30 +1,12 @@
 #include "ftl/spice/dcop.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "ftl/util/error.hpp"
 
 namespace ftl::spice {
 namespace {
-
-// Process-wide batch counters (relaxed: individually exact, mutually
-// unordered), flushed once per dcop_batch call.
-struct AtomicBatchCounters {
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> lanes{0};
-  std::atomic<std::uint64_t> symbolic_factors{0};
-  std::atomic<std::uint64_t> symbolic_reuses{0};
-  std::atomic<std::uint64_t> numeric_refactors{0};
-  std::atomic<std::uint64_t> lane_fallbacks{0};
-  std::atomic<std::uint64_t> newton_iterations{0};
-};
-
-AtomicBatchCounters& batch_counter_cells() {
-  static AtomicBatchCounters counters;
-  return counters;
-}
 
 /// The classic rescue ladders, run after a plain Newton attempt failed:
 /// gmin stepping, then source stepping from the ladder's best solution.
@@ -160,28 +142,9 @@ OpResult dc_operating_point(Circuit& circuit, const NewtonOptions& options) {
   return dcop_rescue(circuit, ctx, options);
 }
 
-BatchCounters batch_counters() {
-  AtomicBatchCounters& c = batch_counter_cells();
-  BatchCounters out;
-  out.batches = c.batches.load(std::memory_order_relaxed);
-  out.lanes = c.lanes.load(std::memory_order_relaxed);
-  out.symbolic_factors = c.symbolic_factors.load(std::memory_order_relaxed);
-  out.symbolic_reuses = c.symbolic_reuses.load(std::memory_order_relaxed);
-  out.numeric_refactors = c.numeric_refactors.load(std::memory_order_relaxed);
-  out.lane_fallbacks = c.lane_fallbacks.load(std::memory_order_relaxed);
-  out.newton_iterations = c.newton_iterations.load(std::memory_order_relaxed);
-  return out;
-}
-
-void reset_batch_counters() {
-  AtomicBatchCounters& c = batch_counter_cells();
-  c.batches.store(0, std::memory_order_relaxed);
-  c.lanes.store(0, std::memory_order_relaxed);
-  c.symbolic_factors.store(0, std::memory_order_relaxed);
-  c.symbolic_reuses.store(0, std::memory_order_relaxed);
-  c.numeric_refactors.store(0, std::memory_order_relaxed);
-  c.lane_fallbacks.store(0, std::memory_order_relaxed);
-  c.newton_iterations.store(0, std::memory_order_relaxed);
+BatchCore& batch_core() {
+  static BatchCore counters;
+  return counters;
 }
 
 std::vector<BatchCornerResult> dcop_batch(
@@ -201,20 +164,15 @@ std::vector<BatchCornerResult> dcop_batch(
   }
 
   const SolverTally after = circuit.linear_solver().tally();
-  AtomicBatchCounters& c = batch_counter_cells();
+  BatchCore& c = batch_core();
   const std::uint64_t replays = after.refactors - before.refactors;
-  c.batches.fetch_add(1, std::memory_order_relaxed);
-  c.lanes.fetch_add(lanes, std::memory_order_relaxed);
-  c.symbolic_factors.fetch_add(after.factors - before.factors,
-                               std::memory_order_relaxed);
-  c.symbolic_reuses.fetch_add(replays, std::memory_order_relaxed);
-  c.numeric_refactors.fetch_add(replays, std::memory_order_relaxed);
-  c.lane_fallbacks.fetch_add(
-      after.rejected_refactors - before.rejected_refactors,
-      std::memory_order_relaxed);
-  c.newton_iterations.fetch_add(
-      after.newton_iterations - before.newton_iterations,
-      std::memory_order_relaxed);
+  c.batches.add();
+  c.lanes.add(lanes);
+  c.symbolic_factors.add(after.factors - before.factors);
+  c.symbolic_reuses.add(replays);
+  c.numeric_refactors.add(replays);
+  c.lane_fallbacks.add(after.rejected_refactors - before.rejected_refactors);
+  c.newton_iterations.add(after.newton_iterations - before.newton_iterations);
   return out;
 }
 

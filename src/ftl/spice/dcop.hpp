@@ -42,26 +42,29 @@ OpResult dc_operating_point(Circuit& circuit, const NewtonOptions& options = {})
 OpResult newton_solve(Circuit& circuit, const linalg::Vector& initial,
                       EvalContext ctx_template, const NewtonOptions& options);
 
-/// Process-wide corner-batch counters (relaxed atomics, monotonic),
-/// surfaced by the serve `stats` op as `batch_core` next to `spice_core`.
-/// Each dcop_batch call adds the difference of its circuit's SolverTally
-/// across the batch, so the counts are the batch's own work. The same
-/// iterations and factorizations also count in `spice_core`.
-struct BatchCounters {
-  std::uint64_t batches = 0;            ///< dcop_batch calls
-  std::uint64_t lanes = 0;              ///< corners solved across all batches
-  std::uint64_t symbolic_factors = 0;   ///< full sparse factorizations
-  std::uint64_t symbolic_reuses = 0;    ///< factorizations replayed off the record
-  std::uint64_t numeric_refactors = 0;  ///< accepted numeric-only replays (= reuses)
-  std::uint64_t lane_fallbacks = 0;     ///< replays rejected for pivot drift
-  std::uint64_t newton_iterations = 0;  ///< Newton iterations of the batches
+/// Process-wide corner-batch counters, reported by the serve `stats` op as
+/// `batch_core` next to `spice_core`. Each dcop_batch call adds the
+/// difference of its circuit's SolverTally across the batch, so the counts
+/// are the batch's own work. The same iterations and factorizations also
+/// count in `spice_core`. symbolic_reuses / (symbolic_factors +
+/// symbolic_reuses) is the amortization ratio.
+struct BatchCore {
+  util::CounterSet set{"batch_core"};
+  util::Counter& batches = set.declare("batches");  ///< dcop_batch calls
+  util::Counter& lanes = set.declare("lanes");  ///< corners solved
+  /// full sparse factorizations
+  util::Counter& symbolic_factors = set.declare("symbolic_factors");
+  /// factorizations replayed off the record
+  util::Counter& symbolic_reuses = set.declare("symbolic_reuses");
+  /// accepted numeric-only replays (= reuses)
+  util::Counter& numeric_refactors = set.declare("numeric_refactors");
+  /// replays rejected for pivot drift
+  util::Counter& lane_fallbacks = set.declare("lane_fallbacks");
+  /// Newton iterations of the batches
+  util::Counter& newton_iterations = set.declare("newton_iterations");
 };
 
-/// Snapshot of the process-wide counters.
-BatchCounters batch_counters();
-
-/// Resets all counters to zero (test support).
-void reset_batch_counters();
+BatchCore& batch_core();
 
 /// Outcome of one corner. `failed` means dc_operating_point threw for that
 /// corner (presolve-gate rejection, singular system, stalled rescue):

@@ -1,49 +1,15 @@
 #include "ftl/spice/linear_solver.hpp"
 
-#include <atomic>
-
 #include "ftl/spice/circuit.hpp"
 #include "ftl/util/error.hpp"
 
 namespace ftl::spice {
-namespace {
 
-// Process-wide counters (relaxed: individually exact, mutually unordered).
 // A Newton iteration assembles and factors a whole matrix, so a handful of
-// relaxed increments per iteration is noise — no per-solve flush needed.
-struct AtomicSpiceCounters {
-  std::atomic<std::uint64_t> newton_iterations{0};
-  std::atomic<std::uint64_t> factors{0};
-  std::atomic<std::uint64_t> refactors{0};
-  std::atomic<std::uint64_t> dense_fallbacks{0};
-  std::atomic<std::uint64_t> dense_solves{0};
-};
-
-AtomicSpiceCounters& spice_counter_cells() {
-  static AtomicSpiceCounters counters;
+// counter increments per iteration is noise — no per-solve flush needed.
+SpiceCore& spice_core() {
+  static SpiceCore counters;
   return counters;
-}
-
-}  // namespace
-
-SpiceCounters spice_counters() {
-  AtomicSpiceCounters& c = spice_counter_cells();
-  SpiceCounters out;
-  out.newton_iterations = c.newton_iterations.load(std::memory_order_relaxed);
-  out.factors = c.factors.load(std::memory_order_relaxed);
-  out.refactors = c.refactors.load(std::memory_order_relaxed);
-  out.dense_fallbacks = c.dense_fallbacks.load(std::memory_order_relaxed);
-  out.dense_solves = c.dense_solves.load(std::memory_order_relaxed);
-  return out;
-}
-
-void reset_spice_counters() {
-  AtomicSpiceCounters& c = spice_counter_cells();
-  c.newton_iterations.store(0, std::memory_order_relaxed);
-  c.factors.store(0, std::memory_order_relaxed);
-  c.refactors.store(0, std::memory_order_relaxed);
-  c.dense_fallbacks.store(0, std::memory_order_relaxed);
-  c.dense_solves.store(0, std::memory_order_relaxed);
 }
 
 void MnaLinearSolver::prepare(int n, MatrixMode mode) {
@@ -81,8 +47,8 @@ void MnaLinearSolver::solve_iteration(const Circuit& circuit,
                                       linalg::Vector& x) {
   FTL_EXPECTS(n_ > 0);
   const std::size_t n = static_cast<std::size_t>(n_);
-  AtomicSpiceCounters& counters = spice_counter_cells();
-  counters.newton_iterations.fetch_add(1, std::memory_order_relaxed);
+  SpiceCore& counters = spice_core();
+  counters.newton_iterations.add();
   ++tally_.newton_iterations;
 
   if (sparse_active_) {
@@ -94,7 +60,7 @@ void MnaLinearSolver::solve_iteration(const Circuit& circuit,
     bool factored = false;
     try {
       if (sparse_lu_.refactor(a)) {
-        counters.refactors.fetch_add(1, std::memory_order_relaxed);
+        counters.refactors.add();
         ++tally_.refactors;
       } else {
         // refactor() declines when nothing is factored or the pattern
@@ -103,13 +69,13 @@ void MnaLinearSolver::solve_iteration(const Circuit& circuit,
           ++tally_.rejected_refactors;
         }
         sparse_lu_.factor(a);
-        counters.factors.fetch_add(1, std::memory_order_relaxed);
+        counters.factors.add();
         ++tally_.factors;
       }
       factored = true;
     } catch (const ftl::Error&) {
       // fall through to the dense rescue below
-      counters.dense_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      counters.dense_fallbacks.add();
     }
     if (factored) {
       sparse_lu_.solve(sparse_.rhs(), x);
@@ -125,7 +91,7 @@ void MnaLinearSolver::solve_iteration(const Circuit& circuit,
     return;
   }
 
-  counters.dense_solves.fetch_add(1, std::memory_order_relaxed);
+  counters.dense_solves.add();
   dense_.reset(n);
   assemble(circuit, ctx, dense_);
   dense_lu_.refactor(dense_.matrix());

@@ -10,32 +10,33 @@
 #include "ftl/linalg/lu.hpp"
 #include "ftl/linalg/sparse_lu.hpp"
 #include "ftl/spice/mna.hpp"
+#include "ftl/util/counters.hpp"
 
 namespace ftl::spice {
 
 class Circuit;
 
-/// Process-wide Newton/LU pipeline counters (relaxed atomics, monotonic),
-/// surfaced by the serve `stats` op as `spice_core` so production circuit
-/// load is observable. Every Newton iteration of every analysis counts here,
-/// corner batches included; dcop_batch additionally reports its own share
-/// as `batch_core` (spice/dcop.hpp).
-struct SpiceCounters {
-  std::uint64_t newton_iterations = 0;  ///< solve_iteration calls, all analyses
-  std::uint64_t factors = 0;            ///< full sparse factorizations
-  std::uint64_t refactors = 0;          ///< accepted numeric-only replays
-  std::uint64_t dense_fallbacks = 0;    ///< sparse pivoting gave out mid-solve
-  std::uint64_t dense_solves = 0;       ///< iterations served by the dense LU
+/// Process-wide Newton/LU pipeline counters, reported by the serve `stats`
+/// op as `spice_core`. Every Newton iteration of every analysis counts
+/// here, corner batches included; dcop_batch additionally reports its own
+/// share as `batch_core` (spice/dcop.hpp).
+struct SpiceCore {
+  util::CounterSet set{"spice_core"};
+  /// solve_iteration calls, all analyses
+  util::Counter& newton_iterations = set.declare("newton_iterations");
+  util::Counter& factors = set.declare("factors");  ///< full sparse factors
+  /// accepted numeric-only replays
+  util::Counter& refactors = set.declare("refactors");
+  /// sparse pivoting gave out mid-solve
+  util::Counter& dense_fallbacks = set.declare("dense_fallbacks");
+  /// iterations served by the dense LU
+  util::Counter& dense_solves = set.declare("dense_solves");
 };
 
-/// Snapshot of the process-wide counters.
-SpiceCounters spice_counters();
-
-/// Resets all counters to zero (test support).
-void reset_spice_counters();
+SpiceCore& spice_core();
 
 /// One MnaLinearSolver's own work: plain counters bumped beside the
-/// process-wide atomics. A solver belongs to one circuit, driven by one
+/// process-wide SpiceCore. A solver belongs to one circuit, driven by one
 /// thread at a time, so a difference of two tallies is exactly the work
 /// done in between — no other thread's solves can leak into it.
 struct SolverTally {

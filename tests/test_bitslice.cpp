@@ -21,7 +21,7 @@ using ftl::lattice::CellValue;
 using ftl::lattice::cell_lane_word;
 using ftl::lattice::connected_lanes;
 using ftl::lattice::connectivity_lut_cached;
-using ftl::lattice::eval_counters;
+using ftl::lattice::eval_core;
 using ftl::lattice::Lattice;
 using ftl::lattice::realized_truth_table;
 using ftl::lattice::realized_truth_table_lut;
@@ -80,7 +80,7 @@ TEST(Bitslice, LaneWordsMatchScalarCellEvaluation) {
 
 TEST(Bitslice, ConnectedLanesAgreeWithScalarBfsOnRandomStates) {
   std::mt19937_64 rng(7);
-  for (const auto [rows, cols] :
+  for (const auto& [rows, cols] :
        {std::pair{1, 1}, {1, 5}, {5, 1}, {2, 2}, {3, 4}, {4, 3}, {5, 5},
         {2, 9}, {9, 2}, {6, 4}}) {
     const int n = rows * cols;
@@ -128,7 +128,7 @@ TEST(Bitslice, AbortMaskOnlyEverAddsMaskedBits) {
 
 TEST(Bitslice, TruthTableAgreesWithScalarAndLutOnRandomLattices) {
   unsigned seed = 100;
-  for (const auto [rows, cols] :
+  for (const auto& [rows, cols] :
        {std::pair{1, 1}, {1, 4}, {4, 1}, {2, 3}, {3, 3}, {4, 4}, {2, 8}}) {
     for (int num_vars : {1, 3, 5, 7}) {
       const Lattice lat = random_lattice(rows, cols, num_vars, ++seed);
@@ -166,7 +166,7 @@ TEST(Bitslice, RealizesRejectsEveryScalarMismatch) {
 TEST(Bitslice, ParallelTruthTablesAreBitwiseIdenticalToSerial) {
   // 10+ variables => 16+ blocks => the parallel path actually shards.
   unsigned seed = 900;
-  for (const auto [rows, cols] : {std::pair{3, 4}, {4, 4}, {5, 3}}) {
+  for (const auto& [rows, cols] : {std::pair{3, 4}, {4, 4}, {5, 3}}) {
     const Lattice lat = random_lattice(rows, cols, 11, ++seed);
     const TruthTable serial = realized_truth_table(lat, 1);
     const TruthTable pooled = realized_truth_table(lat);  // global pool
@@ -180,25 +180,24 @@ TEST(Bitslice, ParallelTruthTablesAreBitwiseIdenticalToSerial) {
 // --- the memoized LUT and the counters -------------------------------------
 
 TEST(Bitslice, CachedLutMatchesDirectBuildAndCountsHits) {
-  const auto before = eval_counters();
+  const std::uint64_t hits = eval_core().lut_hits.get();
   const std::vector<bool>& cached = connectivity_lut_cached(3, 3);
   const std::vector<bool>& again = connectivity_lut_cached(3, 3);
   EXPECT_EQ(&cached, &again);  // one table per shape, stable address
   EXPECT_EQ(cached, ftl::lattice::connectivity_lut(3, 3));
-  const auto after = eval_counters();
   // First call may build or hit (other tests share the process-wide cache);
   // the second call is necessarily a hit.
-  EXPECT_GE(after.lut_hits, before.lut_hits + 1);
+  EXPECT_GE(eval_core().lut_hits.get(), hits + 1);
   EXPECT_THROW(connectivity_lut_cached(5, 5), ftl::ContractViolation);
 }
 
 TEST(Bitslice, CountersAdvanceWithEvaluatedBlocks) {
-  const auto before = eval_counters();
+  const std::uint64_t blocks = eval_core().blocks.get();
+  const std::uint64_t assignments = eval_core().assignments.get();
   const Lattice lat = random_lattice(3, 3, 8, 4242);
   realized_truth_table(lat, 1);  // 2^8 assignments = 4 blocks
-  const auto after = eval_counters();
-  EXPECT_GE(after.blocks, before.blocks + 4);
-  EXPECT_GE(after.assignments, before.assignments + 256);
+  EXPECT_GE(eval_core().blocks.get(), blocks + 4);
+  EXPECT_GE(eval_core().assignments.get(), assignments + 256);
 }
 
 TEST(Bitslice, EvaluatorBlockMatchesTruthTableWords) {

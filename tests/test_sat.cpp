@@ -23,7 +23,8 @@ using ftl::sat::encode_path_exists;
 using ftl::sat::LatticeSynthesisCnf;
 using ftl::sat::LBool;
 using ftl::sat::Lit;
-using ftl::sat::sat_counters;
+using ftl::sat::sat_core;
+using ftl::sat::SatCore;
 using ftl::sat::Solver;
 using ftl::sat::SolverOptions;
 using ftl::sat::Var;
@@ -359,15 +360,18 @@ TEST(SatSolver, AssumptionContradictedAtLevelZeroFails) {
 }
 
 TEST(SatSolver, CountersAccumulateAcrossSolves) {
-  const auto before = sat_counters();
+  const SatCore& c = sat_core();
+  const std::uint64_t solves = c.solves.get();
+  const std::uint64_t unsat = c.unsat.get();
+  const std::uint64_t conflicts = c.conflicts.get();
+  const std::uint64_t propagations = c.propagations.get();
   Solver solver;
   add_pigeonhole(solver, 4);
   EXPECT_EQ(solver.solve(), LBool::kFalse);
-  const auto after = sat_counters();
-  EXPECT_EQ(after.solves, before.solves + 1);
-  EXPECT_EQ(after.unsat, before.unsat + 1);
-  EXPECT_GE(after.conflicts, before.conflicts + solver.stats().conflicts);
-  EXPECT_GT(after.propagations, before.propagations);
+  EXPECT_EQ(c.solves.get(), solves + 1);
+  EXPECT_EQ(c.unsat.get(), unsat + 1);
+  EXPECT_GE(c.conflicts.get(), conflicts + solver.stats().conflicts);
+  EXPECT_GT(c.propagations.get(), propagations);
 }
 
 // -- path encodings vs scalar BFS -------------------------------------------

@@ -416,6 +416,18 @@ TEST(ServeProtocol, ExploreRanksCandidates) {
                   ->as_bool());
 }
 
+TEST(ServeProtocol, MeasureRejectsUnboundedStepCounts) {
+  // phase_ns/dt_ns is the transient step count per input code; past 10000
+  // one line could demand unbounded work, so it is refused up front.
+  Service service({.workers = 1});
+  expect_error(reply(service, R"({"op":"metrics","expr":"a",)"
+                              R"("phase_ns":2001,"dt_ns":0.2})"),
+               "bad_request");
+  expect_error(reply(service, R"({"op":"explore","expr":"a",)"
+                              R"("phase_ns":2001,"dt_ns":0.2})"),
+               "bad_request");
+}
+
 TEST(ServeProtocol, StatsReportsServiceGauges) {
   Service service({.workers = 2, .queue_depth = 8});
   reply(service, R"({"op":"ping"})");
@@ -540,6 +552,54 @@ TEST(ServeProtocol, StatsReportsSpiceAndBatchCoreCounters) {
   EXPECT_GE(after.batches, before.batches + 1.0);
   EXPECT_GE(after.lanes, before.lanes + 5.0);
   EXPECT_GT(after.newton, before.newton);
+}
+
+// The stats reply is a contract read by clients and bench_e2e: every
+// section and every key, in order, present from the first request on.
+TEST(ServeProtocol, StatsKeepsEverySectionAndKey) {
+  using Keys = std::vector<std::string>;
+  const auto keys_of = [](const JsonValue& object) {
+    Keys keys;
+    for (const auto& [key, value] : object.members()) keys.push_back(key);
+    return keys;
+  };
+  const Keys library_counters = {
+      "lookups",        "class_hits",        "misses",
+      "unapplies",      "output_inversions", "verify_rejects",
+      "populates",      "improvements",      "disk_loads",
+      "disk_stores"};
+  for (const bool library : {true, false}) {
+    SCOPED_TRACE(library ? "library on" : "library off");
+    Service service({.workers = 1, .library = library});
+    const JsonValue r = reply(service, R"({"op":"stats"})");
+    EXPECT_EQ(keys_of(r),
+              (Keys{"op", "ok", "stats", "service", "eval_core", "cache_core",
+                    "sat_core", "spice_core", "batch_core", "library_core"}));
+    EXPECT_EQ(keys_of(*r.find("eval_core")),
+              (Keys{"assignments", "blocks", "lut_hits", "lut_builds"}));
+    EXPECT_EQ(keys_of(*r.find("cache_core")),
+              (Keys{"memory_hits", "memory_misses", "line_hits", "disk_hits",
+                    "stores", "shard_contention", "shards"}));
+    EXPECT_EQ(keys_of(*r.find("sat_core")),
+              (Keys{"solves", "sat", "unsat", "conflicts", "decisions",
+                    "propagations", "restarts", "learned_clauses",
+                    "minimized_literals", "cegar_rounds", "proof_clauses",
+                    "proof_checks", "proof_failures", "proof_check_us"}));
+    EXPECT_EQ(keys_of(*r.find("spice_core")),
+              (Keys{"newton_iterations", "factors", "refactors",
+                    "dense_fallbacks", "dense_solves"}));
+    EXPECT_EQ(keys_of(*r.find("batch_core")),
+              (Keys{"batches", "lanes", "symbolic_factors", "symbolic_reuses",
+                    "numeric_refactors", "lane_fallbacks",
+                    "newton_iterations"}));
+    Keys library_keys = {"enabled"};
+    if (library) {
+      library_keys.insert(library_keys.end(), {"classes", "entries"});
+      library_keys.insert(library_keys.end(), library_counters.begin(),
+                          library_counters.end());
+    }
+    EXPECT_EQ(keys_of(*r.find("library_core")), library_keys);
+  }
 }
 
 TEST(ServeProtocol, SleepRunsAndReportsDuration) {

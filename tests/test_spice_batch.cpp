@@ -4,7 +4,6 @@
 // counters and their attribution.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -100,35 +99,38 @@ TEST(SpiceBatch, ChainCurrentBatchMatchesPerPointBitwise) {
 }
 
 TEST(SpiceBatch, CountersAccumulatePerBatchAndLane) {
-  const spice::BatchCounters before = spice::batch_counters();
+  const spice::BatchCore& c = spice::batch_core();
+  const std::uint64_t batches = c.batches.get();
+  const std::uint64_t lanes = c.lanes.get();
+  const std::uint64_t newton = c.newton_iterations.get();
+  const std::uint64_t reuses = c.symbolic_reuses.get();
+  const std::uint64_t refactors = c.numeric_refactors.get();
   std::vector<double> volts{0.5, 1.0, 1.5, 2.0};
   // 8 switches put the MNA system above the dense cutover, so the lanes
   // exercise the sparse LU replay (the dense path never refactors).
   bridge::chain_current_batch(8, volts, volts);
-  const spice::BatchCounters after = spice::batch_counters();
-  EXPECT_EQ(after.batches, before.batches + 1);
-  EXPECT_EQ(after.lanes, before.lanes + volts.size());
-  EXPECT_GT(after.newton_iterations, before.newton_iterations);
+  EXPECT_EQ(c.batches.get(), batches + 1);
+  EXPECT_EQ(c.lanes.get(), lanes + volts.size());
+  EXPECT_GT(c.newton_iterations.get(), newton);
   // Lane 0's first Newton iteration pays the one symbolic analysis; later
   // factorizations ride the recorded elimination.
-  EXPECT_GT(after.symbolic_reuses, before.symbolic_reuses);
-  EXPECT_EQ(after.numeric_refactors - before.numeric_refactors,
-            after.symbolic_reuses - before.symbolic_reuses);
+  EXPECT_GT(c.symbolic_reuses.get(), reuses);
+  EXPECT_EQ(c.numeric_refactors.get() - refactors,
+            c.symbolic_reuses.get() - reuses);
 }
 
-using BatchDeltas = std::array<std::uint64_t, 7>;
+using BatchDeltas = std::vector<std::uint64_t>;
 
+/// Every batch_core counter's delta across one chain batch.
 BatchDeltas chain_batch_deltas(const std::vector<double>& volts) {
-  const spice::BatchCounters a = spice::batch_counters();
+  const auto a = spice::batch_core().set.snapshot();
   bridge::chain_current_batch(8, volts, volts);
-  const spice::BatchCounters b = spice::batch_counters();
-  return {b.batches - a.batches,
-          b.lanes - a.lanes,
-          b.symbolic_factors - a.symbolic_factors,
-          b.symbolic_reuses - a.symbolic_reuses,
-          b.numeric_refactors - a.numeric_refactors,
-          b.lane_fallbacks - a.lane_fallbacks,
-          b.newton_iterations - a.newton_iterations};
+  const auto b = spice::batch_core().set.snapshot();
+  BatchDeltas deltas;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    deltas.push_back(b[i].value - a[i].value);
+  }
+  return deltas;
 }
 
 TEST(SpiceBatch, CountersCountOnlyTheBatchsOwnWork) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "ftl/spice/circuit.hpp"
 #include "ftl/spice/dcop.hpp"
@@ -13,6 +14,14 @@
 namespace {
 
 using namespace ftl::spice;
+
+/// `prefix` followed by `i`. Built incrementally: `"n" + std::to_string(i)`
+/// trips GCC 12's -Wrestrict false positive (PR 105651) under -O2.
+std::string numbered(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
 
 double node_voltage(const Circuit& c, const OpResult& op, const std::string& name) {
   const int n = c.find_node(name);
@@ -47,14 +56,14 @@ TEST(LinearDc, ResistorLadder) {
   c.add(std::make_unique<VoltageSource>("V1", c.node("n0"), Circuit::kGround,
                                         Waveform::dc(1.0)));
   for (int i = 0; i < 5; ++i) {
-    const std::string from = "n" + std::to_string(i);
-    const std::string to = (i == 4) ? "0" : "n" + std::to_string(i + 1);
-    c.add(std::make_unique<Resistor>("R" + std::to_string(i), c.node(from),
+    const std::string from = numbered("n", i);
+    const std::string to = (i == 4) ? "0" : numbered("n", i + 1);
+    c.add(std::make_unique<Resistor>(numbered("R", i), c.node(from),
                                      c.node(to), 1000.0));
   }
   const OpResult op = dc_operating_point(c);
   for (int i = 1; i <= 4; ++i) {
-    EXPECT_NEAR(node_voltage(c, op, "n" + std::to_string(i)),
+    EXPECT_NEAR(node_voltage(c, op, numbered("n", i)),
                 1.0 - 0.2 * i, 1e-9);
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/devices.hpp"
@@ -15,6 +16,14 @@
 namespace {
 
 using namespace ftl::spice;
+
+/// `prefix` followed by `i`. Built incrementally: `"n" + std::to_string(i)`
+/// trips GCC 12's -Wrestrict false positive (PR 105651) under -O2.
+std::string numbered(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
 
 ftl::fit::Level1Params sharp_device() {
   // Very steep device: large Kp makes the Newton landscape stiff.
@@ -38,9 +47,9 @@ TEST(Rescue, LongPassGateLadderConverges) {
                                         Waveform::dc(5.0)));
   const int stages = 24;
   for (int i = 0; i < stages; ++i) {
-    const std::string d = "n" + std::to_string(i);
-    const std::string s = (i == stages - 1) ? "0" : "n" + std::to_string(i + 1);
-    c.add(std::make_unique<Mosfet>("M" + std::to_string(i), c.node(d),
+    const std::string d = numbered("n", i);
+    const std::string s = (i == stages - 1) ? "0" : numbered("n", i + 1);
+    c.add(std::make_unique<Mosfet>(numbered("M", i), c.node(d),
                                    c.node("g"), c.node(s), Circuit::kGround,
                                    sharp_device()));
   }
@@ -50,7 +59,7 @@ TEST(Rescue, LongPassGateLadderConverges) {
   double prev = 5.0 + 1e-9;
   for (int i = 0; i < stages; ++i) {
     const double v =
-        op.solution[static_cast<std::size_t>(c.find_node("n" + std::to_string(i)))];
+        op.solution[static_cast<std::size_t>(c.find_node(numbered("n", i)))];
     EXPECT_LE(v, prev + 1e-9) << i;
     EXPECT_GE(v, -1e-6);
     prev = v;

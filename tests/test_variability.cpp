@@ -115,14 +115,16 @@ TEST(Variability, SerialYieldPaysOneSymbolicAnalysis) {
   options.sigma_vth = 0.05;
   options.trials = 16;
   options.max_threads = 1;
-  const spice::BatchCounters before = spice::batch_counters();
+  const spice::BatchCore& c = spice::batch_core();
+  const std::uint64_t factors = c.symbolic_factors.get();
+  const std::uint64_t fallbacks = c.lane_fallbacks.get();
+  const std::uint64_t reuses = c.symbolic_reuses.get();
   bridge::monte_carlo_yield(lattice::xor3_lattice_3x3(),
                             lattice::xor3_truth_table(), options);
-  const spice::BatchCounters after = spice::batch_counters();
-  EXPECT_EQ((after.symbolic_factors - before.symbolic_factors) -
-                (after.lane_fallbacks - before.lane_fallbacks),
+  EXPECT_EQ((c.symbolic_factors.get() - factors) -
+                (c.lane_fallbacks.get() - fallbacks),
             1u);
-  EXPECT_GT(after.symbolic_reuses, before.symbolic_reuses);
+  EXPECT_GT(c.symbolic_reuses.get(), reuses);
 }
 
 TEST(Variability, LargeSpreadCostsYield) {
