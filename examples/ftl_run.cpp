@@ -107,9 +107,10 @@ int main(int argc, char** argv) {
       run_options.jobs =
           static_cast<std::size_t>(parse_flag("--jobs", next_arg(i), 0, 4096));
     } else if (std::strcmp(arg, "--workers") == 0) {
-      // Forwarded to VariabilityOptions::max_threads so a CI runner running
-      // --jobs J in parallel doesn't additionally fan every MC job out to
-      // full hardware concurrency (J * cores threads).
+      // Forwarded to VariabilityOptions::max_threads: it caps the threads
+      // one Monte-Carlo job's trial loop may occupy. Jobs and their nested
+      // loops share the one global pool (FTL_THREADS sizes it), so the cap
+      // keeps that job from taking every idle worker from the others.
       pipeline_options.workers =
           static_cast<int>(parse_flag("--workers", next_arg(i), 0, 4096));
     } else if (std::strcmp(arg, "--cache-dir") == 0) {

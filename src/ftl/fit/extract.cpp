@@ -6,6 +6,7 @@
 #include "ftl/linalg/levmar.hpp"
 #include "ftl/tcad/extract.hpp"
 #include "ftl/util/error.hpp"
+#include "ftl/util/thread_pool.hpp"
 
 namespace ftl::fit {
 
@@ -113,11 +114,19 @@ Level1Params initial_guess(const std::vector<IvSample>& samples, double width,
 
 FitSweepData paper_fit_sweeps(const tcad::NetworkSolver& solver,
                               const tcad::BiasCase& bias, int points) {
+  // The two legs are independent sweeps over one const solver, so they run
+  // side by side as run_paper_setups' set-ups do; each leg's warm-start
+  // chain stays sequential inside its own index.
   FitSweepData data;
-  // Scenario 1: Vds = 5 V on the drain, Vgs swept 0..5.
-  data.idvg = tcad::sweep_gate(solver, bias, 5.0, 0.0, 5.0, points);
-  // Scenario 2: Vgs = 5 V, Vds swept 0..5.
-  data.idvd = tcad::sweep_drain(solver, bias, 5.0, 0.0, 5.0, points);
+  util::parallel_for(2, [&](std::size_t leg) {
+    if (leg == 0) {
+      // Scenario 1: Vds = 5 V on the drain, Vgs swept 0..5.
+      data.idvg = tcad::sweep_gate(solver, bias, 5.0, 0.0, 5.0, points);
+    } else {
+      // Scenario 2: Vgs = 5 V, Vds swept 0..5.
+      data.idvd = tcad::sweep_drain(solver, bias, 5.0, 0.0, 5.0, points);
+    }
+  });
   for (std::size_t t = 0; t < 4; ++t) {
     if (bias.roles[t] == tcad::Role::kDrain) data.drain = static_cast<int>(t);
   }
@@ -131,13 +140,20 @@ FitResult fit_level1_paper(const std::vector<IvSample>& samples, double width,
   return fit_level1(samples, initial_guess(samples, width, length), options);
 }
 
+namespace {
+
+std::vector<IvSample> paper_fit_samples(const tcad::NetworkSolver& solver,
+                                        const tcad::BiasCase& bias) {
+  const FitSweepData data = paper_fit_sweeps(solver, bias);
+  return samples_from_curves(data.idvg, 5.0, data.idvd, 5.0, data.drain);
+}
+
+}  // namespace
+
 FitResult extract_from_device(const tcad::NetworkSolver& solver,
                               const tcad::BiasCase& bias, double width,
                               double length) {
-  const FitSweepData data = paper_fit_sweeps(solver, bias);
-  return fit_level1_paper(
-      samples_from_curves(data.idvg, 5.0, data.idvd, 5.0, data.drain), width,
-      length);
+  return fit_level1_paper(paper_fit_samples(solver, bias), width, length);
 }
 
 Fit3Result fit_level3(const std::vector<IvSample>& samples,
@@ -194,17 +210,12 @@ Fit3Result fit_level3(const std::vector<IvSample>& samples,
 Fit3Result extract_level3_from_device(const tcad::NetworkSolver& solver,
                                       const tcad::BiasCase& bias, double width,
                                       double length) {
-  const FitResult seed = extract_from_device(solver, bias, width, length);
-  const tcad::IvCurve idvg = tcad::sweep_gate(solver, bias, 5.0, 0.0, 5.0, 26);
-  const tcad::IvCurve idvd = tcad::sweep_drain(solver, bias, 5.0, 0.0, 5.0, 26);
-  int drain = 0;
-  for (std::size_t t = 0; t < 4; ++t) {
-    if (bias.roles[t] == tcad::Role::kDrain) drain = static_cast<int>(t);
-  }
+  // One pair of sweeps feeds both the level-1 seed and the level-3 fit.
+  const std::vector<IvSample> samples = paper_fit_samples(solver, bias);
+  const FitResult seed = fit_level1_paper(samples, width, length);
   FitOptions options;
   options.vth_min = 0.0;
-  return fit_level3(samples_from_curves(idvg, 5.0, idvd, 5.0, drain),
-                    seed.params, options);
+  return fit_level3(samples, seed.params, options);
 }
 
 }  // namespace ftl::fit

@@ -70,6 +70,9 @@ Artifact tcad_sweep_job(tcad::DeviceShape shape, tcad::GateDielectric diel,
   ctx.counter("solver_passes", sweeps.idvg_low.solver_passes +
                                    sweeps.idvg_high.solver_passes +
                                    sweeps.idvd.solver_passes);
+  ctx.counter("unconverged_points", sweeps.idvg_low.unconverged_points +
+                                        sweeps.idvg_high.unconverged_points +
+                                        sweeps.idvd.unconverged_points);
   return out;
 }
 
@@ -189,6 +192,8 @@ Artifact fit_sweep_job(const std::string& bias_name,
   out.notes["bias"] = bias_name;
   ctx.counter("solver_passes",
               data.idvg.solver_passes + data.idvd.solver_passes);
+  ctx.counter("unconverged_points",
+              data.idvg.unconverged_points + data.idvd.unconverged_points);
   return out;
 }
 
@@ -501,6 +506,36 @@ PaperPipeline build_paper_pipeline(const PipelineOptions& options) {
     return id;
   };
 
+  // ---- §IV fit sweeps ------------------------------------------------------
+  // Declared first: they have no dependencies and are the critical path
+  // (DSFF takes the most block passes of any job), so the scheduler's
+  // ascending-id ready queue hands them to the pool before the six device
+  // sweeps.
+  const JobId dsff = add([&] {
+    JobDesc desc;
+    desc.name = "tcad_fit_dsff";
+    Digest d;
+    d.u64(base_digest(options, "fit-sweep-v1"));
+    d.str("DSFF");
+    desc.param_digest = d.value();
+    desc.fn = [options](JobContext& ctx) {
+      return fit_sweep_job("DSFF", options, ctx);
+    };
+    return desc;
+  }());
+  const JobId sfdf = add([&] {
+    JobDesc desc;
+    desc.name = "tcad_fit_sfdf";
+    Digest d;
+    d.u64(base_digest(options, "fit-sweep-v1"));
+    d.str("SFDF");
+    desc.param_digest = d.value();
+    desc.fn = [options](JobContext& ctx) {
+      return fit_sweep_job("SFDF", options, ctx);
+    };
+    return desc;
+  }());
+
   // ---- TCAD device sweeps (Figs. 5-7 inputs) -----------------------------
   const tcad::DeviceShape shapes[] = {tcad::DeviceShape::kSquare,
                                       tcad::DeviceShape::kCross,
@@ -564,31 +599,6 @@ PaperPipeline build_paper_pipeline(const PipelineOptions& options) {
   }
 
   // ---- §IV extraction -----------------------------------------------------
-  const JobId dsff = add([&] {
-    JobDesc desc;
-    desc.name = "tcad_fit_dsff";
-    Digest d;
-    d.u64(base_digest(options, "fit-sweep-v1"));
-    d.str("DSFF");
-    desc.param_digest = d.value();
-    desc.fn = [options](JobContext& ctx) {
-      return fit_sweep_job("DSFF", options, ctx);
-    };
-    return desc;
-  }());
-  const JobId sfdf = add([&] {
-    JobDesc desc;
-    desc.name = "tcad_fit_sfdf";
-    Digest d;
-    d.u64(base_digest(options, "fit-sweep-v1"));
-    d.str("SFDF");
-    desc.param_digest = d.value();
-    desc.fn = [options](JobContext& ctx) {
-      return fit_sweep_job("SFDF", options, ctx);
-    };
-    return desc;
-  }());
-
   const auto add_fit = [&](const char* name, JobId sweep, double length) {
     JobDesc desc;
     desc.name = name;

@@ -23,6 +23,9 @@ struct IvCurve {
   /// Total nonlinear block-iteration passes spent across the sweep — the
   /// solver-cost counter the jobs telemetry surfaces per TCAD job.
   int solver_passes = 0;
+  /// Points whose solve ran out its pass budget (SolveResult::converged
+  /// false); the jobs telemetry reports it beside solver_passes.
+  int unconverged_points = 0;
 
   /// |I| of one terminal along the sweep.
   linalg::Vector terminal_magnitude(int terminal) const;
@@ -39,11 +42,13 @@ struct SweepSetups {
 
 /// Runs a gate sweep at fixed Vds.
 IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
-                   double vds, double vg_first, double vg_last, int points);
+                   double vds, double vg_first, double vg_last, int points,
+                   const SolverOptions& options = {});
 
 /// Runs a drain sweep at fixed Vgs.
 IvCurve sweep_drain(const NetworkSolver& solver, const BiasCase& bias,
-                    double vgs, double vd_first, double vd_last, int points);
+                    double vgs, double vd_first, double vd_last, int points,
+                    const SolverOptions& options = {});
 
 /// All three paper set-ups for one device/bias case. `vg_min` extends the
 /// gate sweeps below 0 V (needed to turn the depletion device off).

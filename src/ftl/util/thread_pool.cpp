@@ -14,9 +14,10 @@
 namespace ftl::util {
 namespace {
 
-// Set while a pool task runs on this thread; nested parallel_for calls from
-// inside a task must run inline or two jobs would deadlock on one pool.
-thread_local bool t_inside_pool_task = false;
+// The pool whose worker this thread is (null on every other thread). A
+// submit from any pool's task runs inline, and a loop from another pool's
+// task runs inline too, so a pool's workers never wait on a second pool.
+thread_local const ThreadPool* t_worker_of = nullptr;
 
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("FTL_THREADS")) {
@@ -27,39 +28,30 @@ std::size_t default_thread_count() {
   return hw > 0 ? hw : 1;
 }
 
-}  // namespace
+// One parallel_for call. The caller and its queued helper tasks claim
+// indices from `next`; each index writes its own result slot, so results
+// are placement-deterministic. Helpers hold the loop by shared_ptr: one
+// that starts after the call returned finds no index left and never
+// touches `fn`.
+struct Loop {
+  Loop(const std::function<void(std::size_t)>& f, std::size_t n)
+      : fn(&f), count(n) {}
 
-struct ThreadPool::Impl {
-  std::vector<std::thread> workers;
+  const std::function<void(std::size_t)>* fn;
+  const std::size_t count;
+  std::atomic<std::size_t> next{0};
 
   std::mutex m;
-  std::condition_variable cv_work;  // workers: a job arrived (or shutdown)
-  std::condition_variable cv_done;  // caller: all workers left the job
-  bool stop = false;
+  std::condition_variable cv_done;
+  std::size_t finished = 0;  // indices run to completion
+  std::exception_ptr error;  // first exception thrown by any index
 
-  // Current job (valid while fn != nullptr). Indices are handed out through
-  // `next`; each task owns its index, so results are placement-deterministic.
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::size_t count = 0;
-  std::atomic<std::size_t> next{0};
-  std::size_t generation = 0;
-  std::size_t active = 0;       // workers currently running job indices
-  std::size_t joined = 0;       // workers admitted to this job
-  std::size_t max_extra = 0;    // worker admission cap for this job
-  std::exception_ptr error;
-
-  // Serializes concurrent parallel_for callers onto the single job slot.
-  std::mutex job_guard;
-
-  // Queued single tasks (submit); drained by workers alongside index jobs.
-  std::deque<std::function<void()>> tasks;
-  std::atomic<std::size_t> running_tasks{0};  // submit tasks executing now
-
-  void run_indices() {
-    t_inside_pool_task = true;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
+  // Claims and runs indices until none is left. An index that throws
+  // still counts as finished, so every index runs.
+  void run() {
+    std::size_t ran = 0;
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < count;
+         ++ran) {
       try {
         (*fn)(i);
       } catch (...) {
@@ -67,48 +59,53 @@ struct ThreadPool::Impl {
         if (!error) error = std::current_exception();
       }
     }
-    t_inside_pool_task = false;
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(m);
+    finished += ran;
+    if (finished == count) cv_done.notify_all();
   }
+};
+
+}  // namespace
+
+struct ThreadPool::Impl {
+  std::vector<std::thread> workers;
+
+  std::mutex m;
+  std::condition_variable cv_work;  // workers: a task arrived (or shutdown)
+  bool stop = false;
+
+  // The one queue: submit tasks and parallel_for helpers, first in first out.
+  std::deque<std::function<void()>> tasks;
+  std::atomic<std::size_t> running_tasks{0};  // tasks executing now
 
   void worker_loop() {
-    std::size_t last_generation = 0;
     for (;;) {
-      std::unique_lock<std::mutex> lock(m);
-      cv_work.wait(lock, [&] {
-        return stop || !tasks.empty() ||
-               (fn != nullptr && generation != last_generation);
-      });
-      if (stop) return;
-      if (!tasks.empty()) {
-        std::function<void()> task = std::move(tasks.front());
+      std::function<void()> task;
+      {
+        std::unique_lock<std::mutex> lock(m);
+        cv_work.wait(lock, [&] { return stop || !tasks.empty(); });
+        if (stop) return;
+        task = std::move(tasks.front());
         tasks.pop_front();
-        lock.unlock();
-        t_inside_pool_task = true;
-        ++running_tasks;
-        task();  // packaged_task: exceptions land in the caller's future
-        --running_tasks;
-        t_inside_pool_task = false;
-        continue;
       }
-      last_generation = generation;
-      if (joined >= max_extra) continue;  // admission cap reached
-      ++joined;
-      ++active;
-      lock.unlock();
-      run_indices();
-      lock.lock();
-      if (--active == 0) cv_done.notify_all();
+      ++running_tasks;
+      task();  // packaged_task: exceptions land in the caller's future
+      --running_tasks;
     }
   }
 };
 
 ThreadPool::ThreadPool(std::size_t threads) : impl_(new Impl) {
   if (threads == 0) threads = default_thread_count();
-  // The caller participates in every job, so spawn one fewer worker.
+  // The caller participates in every loop, so spawn one fewer worker.
   const std::size_t extra = threads > 0 ? threads - 1 : 0;
   impl_->workers.reserve(extra);
   for (std::size_t i = 0; i < extra; ++i) {
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
+    impl_->workers.emplace_back([this] {
+      t_worker_of = this;
+      impl_->worker_loop();
+    });
   }
 }
 
@@ -119,7 +116,8 @@ ThreadPool::~ThreadPool() {
   }
   impl_->cv_work.notify_all();
   for (std::thread& t : impl_->workers) t.join();
-  // Satisfy the futures of any tasks the workers never picked up.
+  // Satisfy the futures of any tasks the workers never picked up (helpers
+  // of finished loops find no index left and return at once).
   for (std::function<void()>& task : impl_->tasks) task();
   delete impl_;
 }
@@ -128,7 +126,7 @@ void ThreadPool::enqueue(std::function<void()> task) {
   // Inline cases: a workerless pool has nobody to hand the task to, and a
   // submit from inside a pool task must not wait on workers the caller may
   // itself be occupying.
-  if (impl_->workers.empty() || t_inside_pool_task) {
+  if (impl_->workers.empty() || t_worker_of != nullptr) {
     ++impl_->running_tasks;
     task();
     --impl_->running_tasks;
@@ -156,45 +154,34 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn,
                               std::size_t max_threads) {
   if (count == 0) return;
-  // Serial fast paths: tiny jobs, a cap of one thread, a single-thread
-  // pool, or a nested call from inside a task (running inline avoids
-  // self-deadlock).
-  if (count == 1 || max_threads == 1 || impl_->workers.empty() ||
-      t_inside_pool_task) {
+  // Helpers beside the caller: one per spare index and worker, with the
+  // caller counted as one of `max_threads`.
+  std::size_t helpers = std::min(count - 1, impl_->workers.size());
+  if (max_threads != 0) helpers = std::min(helpers, max_threads - 1);
+  // Serial: nothing to share, or a task of another pool is calling (its
+  // own pool's workers must not queue behind this one's).
+  if (helpers == 0 || (t_worker_of != nullptr && t_worker_of != this)) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
-  std::lock_guard<std::mutex> job_lock(impl_->job_guard);
+  const auto loop = std::make_shared<Loop>(fn, count);
   {
     std::lock_guard<std::mutex> lock(impl_->m);
-    impl_->fn = &fn;
-    impl_->count = count;
-    impl_->next.store(0, std::memory_order_relaxed);
-    impl_->joined = 0;
-    // The caller is one of the `max_threads`.
-    impl_->max_extra = max_threads == 0
-                           ? impl_->workers.size()
-                           : std::min(impl_->workers.size(), max_threads - 1);
-    impl_->error = nullptr;
-    ++impl_->generation;
+    for (std::size_t h = 0; h < helpers; ++h) {
+      impl_->tasks.emplace_back([loop] { loop->run(); });
+    }
   }
-  impl_->cv_work.notify_all();
+  for (std::size_t h = 0; h < helpers; ++h) impl_->cv_work.notify_one();
 
-  impl_->run_indices();
-
-  std::unique_lock<std::mutex> lock(impl_->m);
-  // Close admissions: a worker waking now must not enter the draining job,
-  // or it could touch `fn` after this frame invalidates it.
-  impl_->max_extra = 0;
-  impl_->cv_done.wait(lock, [&] { return impl_->active == 0; });
-  impl_->fn = nullptr;
-  if (impl_->error) {
-    std::exception_ptr e = impl_->error;
-    impl_->error = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
+  // The caller claims whatever no idle worker has, then waits only for
+  // indices already running on other threads. Those threads follow the
+  // same rule, so no thread ever waits on an unclaimed index: a loop nested
+  // in a task of this pool cannot deadlock, however busy the workers are.
+  loop->run();
+  std::unique_lock<std::mutex> lock(loop->m);
+  loop->cv_done.wait(lock, [&] { return loop->finished == count; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 ThreadPool& ThreadPool::global() {

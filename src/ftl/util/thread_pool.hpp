@@ -1,12 +1,13 @@
 #pragma once
 // Small fixed-size thread pool for the embarrassingly parallel outer loops:
 // terminal-role bias cases, per-device I-V sweeps, and Monte-Carlo
-// variability trials. Work is handed out two ways:
+// variability trials. Work is handed out two ways, through one task queue:
 //  - parallel_for: an index range; every index writes its own result slot,
 //    so results are bit-identical to a serial run regardless of scheduling
 //    order.
 //  - submit: a single task with a future, used by the jobs::run_graph
-//    scheduler to fan independent DAG nodes across the workers.
+//    scheduler to fan independent DAG nodes across the workers. A job's
+//    own parallel_for loops are then shared with the workers it leaves idle.
 
 #include <cstddef>
 #include <functional>
@@ -29,19 +30,23 @@ class ThreadPool {
   /// Worker count (>= 1; the calling thread also participates in jobs).
   std::size_t size() const;
 
-  /// submit() tasks queued and not yet picked up by a worker. This is the
+  /// Tasks queued and not yet picked up by a worker: submit() tasks, plus
+  /// the helpers of parallel_for calls made on this pool. This is the
   /// admission backlog a service built on the pool reports (and bounds).
   std::size_t queue_depth() const;
 
-  /// submit() tasks currently executing (inline runs included).
+  /// Tasks currently executing (inline submit() runs included).
   std::size_t active_tasks() const;
 
-  /// Runs fn(i) for every i in [0, count), fanning indices across the
-  /// workers, and blocks until all complete. `max_threads` caps the threads
-  /// working on the job, the caller included (0 = no cap; 1 = serial on the
-  /// caller, in index order). The first exception thrown by any task is
-  /// rethrown here after the job drains. Nested calls from inside a task
-  /// run inline (serially) to avoid deadlock.
+  /// Runs fn(i) for every i in [0, count) and blocks until all complete.
+  /// The caller claims indices alongside up to `max_threads` - 1 helper
+  /// tasks queued for idle workers (0 = no cap; 1 = serial on the caller,
+  /// in index order), and then waits only for indices other threads have
+  /// already claimed. So a call from inside a task of this pool is shared
+  /// with its idle workers and cannot deadlock; a call from a task of
+  /// another pool runs inline (serially). Every index runs; the first
+  /// exception thrown by any of them is rethrown here once all have
+  /// finished.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn,
                     std::size_t max_threads = 0);

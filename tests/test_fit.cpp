@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "ftl/fit/extract.hpp"
@@ -190,6 +191,38 @@ TEST(FitPipeline, ExtractsPositiveThresholdFromSquareDevice) {
   EXPECT_GE(fit.params.vth, 0.0);  // the switch must turn off at Vgs = 0
   EXPECT_LT(fit.params.vth, 1.0);
   EXPECT_GE(fit.params.lambda, 0.0);
+}
+
+TEST(FitPipeline, ParallelLegsMatchSerialSweeps) {
+  // paper_fit_sweeps runs its two legs side by side; each leg keeps its
+  // warm-start chain, so the data equal the two sweeps run one after the
+  // other, bit for bit.
+  const auto spec = ftl::tcad::make_device(ftl::tcad::DeviceShape::kSquare,
+                                           ftl::tcad::GateDielectric::kHfO2);
+  const ftl::tcad::NetworkSolver solver(ftl::tcad::build_mesh(spec, 24),
+                                        ftl::tcad::ChargeSheetModel(spec));
+  const ftl::tcad::BiasCase dsff = ftl::tcad::parse_bias_case("DSFF");
+  const FitSweepData data = paper_fit_sweeps(solver, dsff, 6);
+  const ftl::tcad::IvCurve idvg =
+      ftl::tcad::sweep_gate(solver, dsff, 5.0, 0.0, 5.0, 6);
+  const ftl::tcad::IvCurve idvd =
+      ftl::tcad::sweep_drain(solver, dsff, 5.0, 0.0, 5.0, 6);
+  const auto same = [](const ftl::tcad::IvCurve& got,
+                       const ftl::tcad::IvCurve& want) {
+    ASSERT_EQ(got.terminal_currents.size(), want.terminal_currents.size());
+    for (std::size_t i = 0; i < want.terminal_currents.size(); ++i) {
+      EXPECT_EQ(std::memcmp(got.terminal_currents[i].data(),
+                            want.terminal_currents[i].data(),
+                            sizeof(want.terminal_currents[i])),
+                0)
+          << "point " << i;
+    }
+    EXPECT_EQ(got.solver_passes, want.solver_passes);
+    EXPECT_EQ(got.unconverged_points, want.unconverged_points);
+  };
+  same(data.idvg, idvg);
+  same(data.idvd, idvd);
+  EXPECT_EQ(data.drain, 0);  // DSFF: the first terminal is the drain
 }
 
 }  // namespace

@@ -98,6 +98,37 @@ TEST(PaperPipeline, Fig12BranchRunsColdThenFullyWarm) {
             artifact->serialize());
 }
 
+TEST(PaperPipeline, PooledRunMatchesSerialByteForByte) {
+  // The fit sweeps run their two legs and the device sweeps their three
+  // set-ups through loops nested in pool tasks; the Monte-Carlo job fans
+  // its trials the same way. None of that fan-out may change a byte.
+  const jobs::PaperPipeline p = jobs::build_paper_pipeline(quick_options());
+  jobs::RunOptions options;  // no cache directory: every job computes
+  options.targets = jobs::resolve_targets(
+      p, {"tcad_fit_dsff", "tcad_fit_sfdf", "tcad_junctionless_hfo2",
+          "sweep_batch"});
+  options.jobs = 1;
+  const jobs::RunResult serial = jobs::run_graph(p.graph, options);
+  options.jobs = 4;
+  const jobs::RunResult pooled = jobs::run_graph(p.graph, options);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(pooled.ok());
+  // The four targets plus fit_type_a, which sweep_batch reads.
+  EXPECT_EQ(serial.succeeded, 5);
+  EXPECT_EQ(pooled.succeeded, 5);
+  for (const jobs::JobId id : p.all) {
+    const jobs::JobReport& s = serial.reports[static_cast<std::size_t>(id)];
+    const jobs::JobReport& q = pooled.reports[static_cast<std::size_t>(id)];
+    const std::string& name = p.graph.job(id).name;
+    EXPECT_EQ(s.status, q.status) << name;
+    ASSERT_EQ(s.artifact == nullptr, q.artifact == nullptr) << name;
+    if (s.artifact) {
+      EXPECT_EQ(s.artifact->serialize(), q.artifact->serialize()) << name;
+    }
+    EXPECT_EQ(s.counters, q.counters) << name;
+  }
+}
+
 TEST(PaperPipeline, CalibrationDigestIsStableWithinAProcess) {
   EXPECT_EQ(jobs::calibration_digest(), jobs::calibration_digest());
   EXPECT_NE(jobs::calibration_digest(), 0u);

@@ -3,11 +3,14 @@
 // workload of the TCAD network solver).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <random>
 
 #include "ftl/linalg/cg.hpp"
 #include "ftl/linalg/lu.hpp"
 #include "ftl/linalg/sparse.hpp"
+#include "ftl/tcad/mesh.hpp"
 #include "ftl/util/error.hpp"
 
 namespace {
@@ -136,6 +139,171 @@ TEST(Cg, WarmStartReducesIterations) {
   const auto warm = conjugate_gradient(a, rhs, cold.x);
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, 2);
+}
+
+// The Jacobi-CG loop as it read before its iteration was fused into three
+// passes: one textbook step per pass. Oracle for the bitwise test below.
+ftl::linalg::CgResult textbook_cg(const SparseMatrix& a, const Vector& b,
+                                  const Vector& initial,
+                                  const ftl::linalg::CgOptions& options = {}) {
+  using ftl::linalg::dot;
+  using ftl::linalg::norm2;
+  const std::size_t n = b.size();
+
+  ftl::linalg::CgResult result;
+  result.x = initial.empty() ? Vector(n, 0.0) : initial;
+
+  const double bnorm = norm2(b);
+  if (bnorm == 0.0) {
+    result.x.assign(n, 0.0);
+    result.converged = true;
+    return result;
+  }
+
+  Vector inv_diag = a.diagonal();
+  for (double& d : inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
+
+  Vector r = b;
+  {
+    const Vector ax = a.multiply(result.x);
+    for (std::size_t i = 0; i < n; ++i) r[i] -= ax[i];
+  }
+  Vector z(n);
+  for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
+  Vector p = z;
+  double rz = dot(r, z);
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    const Vector ap = a.multiply(p);
+    const double pap = dot(p, ap);
+    if (pap <= 0.0) break;  // not SPD (or breakdown) — report non-convergence
+    const double alpha = rz / pap;
+    for (std::size_t i = 0; i < n; ++i) {
+      result.x[i] += alpha * p[i];
+      r[i] -= alpha * ap[i];
+    }
+    const double rnorm = norm2(r);
+    result.relative_residual = rnorm / bnorm;
+    if (result.relative_residual < options.tolerance) {
+      result.converged = true;
+      return result;
+    }
+    for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
+    const double rz_next = dot(r, z);
+    const double beta = rz_next / rz;
+    rz = rz_next;
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+  }
+  return result;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// The TCAD solver's u-space Laplace system on the paper's 48-cell square
+// device: unit conductance per gated-gated edge, the edge to a conductor
+// on the diagonal with the conductor's (transformed) potential in the
+// RHS, plus the 1e-18 regularizing diagonal.
+void u_space_system(SparseMatrix& a, Vector& b) {
+  namespace tcad = ftl::tcad;
+  const tcad::DeviceMesh mesh = tcad::build_mesh(
+      tcad::make_device(tcad::DeviceShape::kSquare, tcad::GateDielectric::kHfO2), 48);
+  const int side = mesh.cells_per_side;
+  std::vector<int> gated(static_cast<std::size_t>(mesh.cell_count()), -1);
+  std::size_t n = 0;
+  for (int i = 0; i < mesh.cell_count(); ++i) {
+    if (mesh.region[static_cast<std::size_t>(i)] == tcad::Region::kGated) {
+      gated[static_cast<std::size_t>(i)] = static_cast<int>(n++);
+    }
+  }
+  TripletList t(n, n);
+  b.assign(n, 0.0);
+  const auto edge = [&](int i, int j) {
+    const int gi = gated[static_cast<std::size_t>(i)];
+    const int gj = gated[static_cast<std::size_t>(j)];
+    if (gi >= 0 && gj >= 0) {
+      t.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gi), 1.0);
+      t.add(static_cast<std::size_t>(gj), static_cast<std::size_t>(gj), 1.0);
+      t.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gj), -1.0);
+      t.add(static_cast<std::size_t>(gj), static_cast<std::size_t>(gi), -1.0);
+    } else if (gi >= 0 || gj >= 0) {
+      const int g = gi >= 0 ? gi : gj;
+      const int other = gi >= 0 ? j : i;
+      t.add(static_cast<std::size_t>(g), static_cast<std::size_t>(g), 1.0);
+      // Drain-side terminals at a high potential, the rest at a low one.
+      const int terminal = mesh.terminal[static_cast<std::size_t>(other)];
+      b[static_cast<std::size_t>(g)] += terminal == 0 ? 3.7e-4 : 1.3e-6;
+    }
+  };
+  for (int iy = 0; iy < side; ++iy) {
+    for (int ix = 0; ix < side; ++ix) {
+      const int i = mesh.index(ix, iy);
+      if (mesh.region[static_cast<std::size_t>(i)] == tcad::Region::kOutside) continue;
+      if (ix + 1 < side && mesh.region_at(ix + 1, iy) != tcad::Region::kOutside) {
+        edge(i, mesh.index(ix + 1, iy));
+      }
+      if (iy + 1 < side && mesh.region_at(ix, iy + 1) != tcad::Region::kOutside) {
+        edge(i, mesh.index(ix, iy + 1));
+      }
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) t.add(k, k, 1e-18);
+  a = SparseMatrix(t);
+}
+
+TEST(Cg, FusedIterationMatchesTextbookLoopBitwise) {
+  const auto expect_same = [](const SparseMatrix& a, const Vector& b,
+                              const Vector& initial, const char* what) {
+    const auto fused = conjugate_gradient(a, b, initial);
+    const auto oracle = textbook_cg(a, b, initial);
+    EXPECT_TRUE(same_bits(fused.x, oracle.x)) << what;
+    EXPECT_EQ(fused.iterations, oracle.iterations) << what;
+    EXPECT_EQ(fused.relative_residual, oracle.relative_residual) << what;
+    EXPECT_EQ(fused.converged, oracle.converged) << what;
+  };
+
+  SparseMatrix u;
+  Vector b;
+  u_space_system(u, b);
+  ASSERT_EQ(u.rows(), 400u);  // the gated cells of the 48-cell mesh
+  expect_same(u, b, {}, "u-space, cold");
+  // Warm start from a perturbed solution, as the block passes do.
+  Vector warm = conjugate_gradient(u, b).x;
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    warm[i] *= 1.0 + 1e-3 * std::sin(static_cast<double>(i));
+  }
+  expect_same(u, b, warm, "u-space, warm");
+
+  for (const int n : {3, 17, 64, 150}) {
+    std::mt19937 rng(static_cast<unsigned>(n) * 7 + 3);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    // Sparse SPD: random symmetric off-diagonals, diagonally dominant.
+    TripletList t(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
+    Vector diag(static_cast<std::size_t>(n), 1.0);
+    for (int k = 0; k < 3 * n; ++k) {
+      const auto i = static_cast<std::size_t>(rng() % static_cast<unsigned>(n));
+      const auto j = static_cast<std::size_t>(rng() % static_cast<unsigned>(n));
+      if (i == j) continue;
+      const double v = dist(rng);
+      t.add(i, j, v);
+      t.add(j, i, v);
+      diag[i] += std::fabs(v);
+      diag[j] += std::fabs(v);
+    }
+    Vector rhs(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+      t.add(i, i, diag[i] * (1.0 + 0.5 * std::fabs(dist(rng))));
+      rhs[i] = dist(rng);
+    }
+    const SparseMatrix a(t);
+    expect_same(a, rhs, {}, "random SPD, cold");
+    Vector start(static_cast<std::size_t>(n));
+    for (double& x : start) x = dist(rng);
+    expect_same(a, rhs, start, "random SPD, warm");
+  }
 }
 
 }  // namespace

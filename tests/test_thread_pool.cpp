@@ -1,10 +1,13 @@
-// Thread pool: full index coverage, exception propagation, nested calls,
-// the serial escape hatch, and the per-job thread cap.
+// Thread pool: full index coverage, exception propagation, nested calls
+// (shared with idle workers of the same pool, inline from another pool's
+// task), the serial escape hatch, and the per-job thread cap.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -96,8 +99,10 @@ TEST(ThreadPool, PropagatesFirstException) {
 }
 
 TEST(ThreadPool, NestedCallsRunInline) {
-  // A task that itself calls parallel_for must not deadlock waiting for
-  // pool workers it is occupying; the inner loop runs inline.
+  // A loop nested in a loop of the same pool must not deadlock on the
+  // workers the outer loop occupies. (The name is historical: the inner
+  // loop is shared with idle workers now, and the caller runs whatever
+  // nobody claimed; this checks coverage.)
   std::vector<std::atomic<int>> hits(64);
   util::parallel_for(8, [&](std::size_t outer) {
     util::parallel_for(8, [&](std::size_t inner) {
@@ -107,6 +112,129 @@ TEST(ThreadPool, NestedCallsRunInline) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
   }
+}
+
+/// Counts this thread in, then waits (at most 5 s) until `want` threads
+/// have; true when they all arrived in time.
+bool rendezvous(std::atomic<int>& arrived, int want) {
+  ++arrived;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (arrived.load() < want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, NestedLoopInAPoolTaskUsesIdleWorkers) {
+  // A submitted task's own loop is shared with the pool's idle worker: the
+  // two indices run at once, each waiting for the other to arrive.
+  util::ThreadPool pool(3);
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  pool.submit([&] {
+        pool.parallel_for(2, [&](std::size_t) {
+          if (rendezvous(arrived, 2)) ++met;
+        });
+      })
+      .get();
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(ThreadPool, NestedLoopFromAnotherPoolsTaskRunsInline) {
+  // A task of pool A calling pool B's loop runs it on the calling thread,
+  // in index order: serve's request workers rely on this when they call
+  // the global pool.
+  util::ThreadPool a(2);
+  util::ThreadPool b(4);
+  std::mutex m;
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> threads;
+  const std::thread::id caller =
+      a.submit([&] {
+         b.parallel_for(16, [&](std::size_t i) {
+           std::lock_guard<std::mutex> lock(m);
+           order.push_back(i);
+           threads.push_back(std::this_thread::get_id());
+         });
+         return std::this_thread::get_id();
+       }).get();
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(threads[i], caller);
+  }
+}
+
+TEST(ThreadPool, NestedLoopsInEveryWorkerComplete) {
+  // Every worker holds a task whose loop nests a second loop, so no worker
+  // is idle to take the queued helpers: each caller must run its unclaimed
+  // indices itself. A deadlock shows as a future that never becomes ready;
+  // the pool and the state its tasks use are then leaked rather than
+  // joined and freed, so the test fails instead of hanging.
+  struct State {
+    std::vector<std::atomic<int>> hits = std::vector<std::atomic<int>>(256);
+    std::atomic<int> arrived{0};
+  };
+  const auto state = std::make_shared<State>();
+  auto pool = std::make_unique<util::ThreadPool>(4);  // 3 workers
+  util::ThreadPool* const p = pool.get();
+  std::vector<std::future<void>> futures;
+  for (std::size_t t = 0; t < 4; ++t) {
+    futures.push_back(p->submit([state, p, t] {
+      if (t < 3) rendezvous(state->arrived, 3);  // occupy all three workers
+      p->parallel_for(8, [&](std::size_t outer) {
+        p->parallel_for(8, [&](std::size_t inner) {
+          ++state->hits[t * 64 + outer * 8 + inner];
+        });
+      });
+    }));
+  }
+  for (std::future<void>& f : futures) {
+    if (f.wait_for(std::chrono::seconds(20)) != std::future_status::ready) {
+      pool.release();
+      FAIL() << "nested loops deadlocked";
+    }
+    f.get();
+  }
+  for (std::size_t i = 0; i < state->hits.size(); ++i) {
+    EXPECT_EQ(state->hits[i].load(), 1) << "slot " << i;
+  }
+}
+
+TEST(ThreadPool, ConcurrentTopLevelCallersBothFinish) {
+  // Two threads call one pool's loop at once. Each loop's first index
+  // waits for the other loop's, so the calls must overlap, not take turns.
+  util::ThreadPool pool(3);
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  const auto call = [&] {
+    pool.parallel_for(4, [&](std::size_t i) {
+      if (i == 0 && rendezvous(arrived, 2)) ++met;
+    });
+  };
+  std::thread first(call);
+  std::thread second(call);
+  first.join();
+  second.join();
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(ThreadPool, MaxThreadsCapsNestedLoops) {
+  // The cap holds inside a pool task too: the task's thread plus at most
+  // one helper.
+  util::ThreadPool pool(4);
+  const int peak = pool.submit([&] {
+                         return peak_concurrency(
+                             [&](std::size_t n,
+                                 const std::function<void(std::size_t)>& fn) {
+                               pool.parallel_for(n, fn, 2);
+                             },
+                             64);
+                       })
+                       .get();
+  EXPECT_GE(peak, 1);
+  EXPECT_LE(peak, 2);
 }
 
 TEST(ThreadPool, ZeroCountIsANoOp) {
@@ -157,6 +285,8 @@ TEST(ThreadPoolSubmit, NestedSubmitDoesNotDeadlock) {
 }
 
 TEST(ThreadPoolSubmit, NestedParallelForInsideSubmitRunsInline) {
+  // A task of `pool` calling the global pool's loop: another pool's task,
+  // so the loop runs inline on the task's thread.
   util::ThreadPool pool(2);
   auto f = pool.submit([] {
     std::atomic<int> total{0};
