@@ -27,8 +27,7 @@ linalg::Vector IvCurve::drain_current(const BiasCase& bias) const {
 }
 
 IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
-                   double vds, double vg_first, double vg_last, int points,
-                   const SolverOptions& options) {
+                   double vds, double vg_first, double vg_last, int points) {
   FTL_EXPECTS(points >= 2);
   IvCurve curve;
   curve.label = bias.name + " Id-Vg @ Vds=" + std::to_string(vds);
@@ -37,8 +36,7 @@ IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
   linalg::Vector warm;
   for (double vg : curve.sweep_values) {
     BiasPoint p = bias.at(vg, vds);
-    const SolveResult r =
-        solver.solve(p, warm.empty() ? nullptr : &warm, options);
+    const SolveResult r = solver.solve(p, warm.empty() ? nullptr : &warm);
     warm = r.node_voltage;
     curve.terminal_currents.push_back(r.terminal_current);
     curve.solver_passes += r.nonlinear_iterations;
@@ -48,8 +46,7 @@ IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
 }
 
 IvCurve sweep_drain(const NetworkSolver& solver, const BiasCase& bias,
-                    double vgs, double vd_first, double vd_last, int points,
-                    const SolverOptions& options) {
+                    double vgs, double vd_first, double vd_last, int points) {
   FTL_EXPECTS(points >= 2);
   IvCurve curve;
   curve.label = bias.name + " Id-Vd @ Vgs=" + std::to_string(vgs);
@@ -58,8 +55,7 @@ IvCurve sweep_drain(const NetworkSolver& solver, const BiasCase& bias,
   linalg::Vector warm;
   for (double vd : curve.sweep_values) {
     BiasPoint p = bias.at(vgs, vd);
-    const SolveResult r =
-        solver.solve(p, warm.empty() ? nullptr : &warm, options);
+    const SolveResult r = solver.solve(p, warm.empty() ? nullptr : &warm);
     warm = r.node_voltage;
     curve.terminal_currents.push_back(r.terminal_current);
     curve.solver_passes += r.nonlinear_iterations;

@@ -42,13 +42,11 @@ struct SweepSetups {
 
 /// Runs a gate sweep at fixed Vds.
 IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
-                   double vds, double vg_first, double vg_last, int points,
-                   const SolverOptions& options = {});
+                   double vds, double vg_first, double vg_last, int points);
 
 /// Runs a drain sweep at fixed Vgs.
 IvCurve sweep_drain(const NetworkSolver& solver, const BiasCase& bias,
-                    double vgs, double vd_first, double vd_last, int points,
-                    const SolverOptions& options = {});
+                    double vgs, double vd_first, double vd_last, int points);
 
 /// All three paper set-ups for one device/bias case. `vg_min` extends the
 /// gate sweeps below 0 V (needed to turn the depletion device off).

@@ -9,6 +9,7 @@
 #include "ftl/jobs/scheduler.hpp"
 #include "ftl/jobs/telemetry.hpp"
 #include "ftl/util/error.hpp"
+#include "ftl/util/thread_pool.hpp"
 
 namespace {
 
@@ -108,7 +109,12 @@ TEST(PaperPipeline, PooledRunMatchesSerialByteForByte) {
       p, {"tcad_fit_dsff", "tcad_fit_sfdf", "tcad_junctionless_hfo2",
           "sweep_batch"});
   options.jobs = 1;
-  const jobs::RunResult serial = jobs::run_graph(p.graph, options);
+  // The reference runs as a task of another pool, so every global-pool
+  // loop inside its jobs runs inline: a fully serial schedule.
+  util::ThreadPool reference_pool(2);
+  const jobs::RunResult serial =
+      reference_pool.submit([&] { return jobs::run_graph(p.graph, options); })
+          .get();
   options.jobs = 4;
   const jobs::RunResult pooled = jobs::run_graph(p.graph, options);
   ASSERT_TRUE(serial.ok());

@@ -10,7 +10,6 @@
 #include "ftl/linalg/cg.hpp"
 #include "ftl/linalg/lu.hpp"
 #include "ftl/linalg/sparse.hpp"
-#include "ftl/tcad/mesh.hpp"
 #include "ftl/util/error.hpp"
 
 namespace {
@@ -203,54 +202,29 @@ bool same_bits(const Vector& a, const Vector& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-// The TCAD solver's u-space Laplace system on the paper's 48-cell square
-// device: unit conductance per gated-gated edge, the edge to a conductor
-// on the diagonal with the conductor's (transformed) potential in the
-// RHS, plus the 1e-18 regularizing diagonal.
-void u_space_system(SparseMatrix& a, Vector& b) {
-  namespace tcad = ftl::tcad;
-  const tcad::DeviceMesh mesh = tcad::build_mesh(
-      tcad::make_device(tcad::DeviceShape::kSquare, tcad::GateDielectric::kHfO2), 48);
-  const int side = mesh.cells_per_side;
-  std::vector<int> gated(static_cast<std::size_t>(mesh.cell_count()), -1);
-  std::size_t n = 0;
-  for (int i = 0; i < mesh.cell_count(); ++i) {
-    if (mesh.region[static_cast<std::size_t>(i)] == tcad::Region::kGated) {
-      gated[static_cast<std::size_t>(i)] = static_cast<int>(n++);
-    }
-  }
+// A side x side grid Laplacian whose edge cells also tie to a Dirichlet
+// rim, one unit conductance per missing neighbour: the left rim at a high
+// potential, the rest at a low one. Like the TCAD solver's u-space system,
+// it is well conditioned yet takes CG dozens of iterations.
+void grid_system(int side, SparseMatrix& a, Vector& b) {
+  const auto at = [side](int x, int y) { return static_cast<std::size_t>(y * side + x); };
+  const auto n = static_cast<std::size_t>(side * side);
   TripletList t(n, n);
   b.assign(n, 0.0);
-  const auto edge = [&](int i, int j) {
-    const int gi = gated[static_cast<std::size_t>(i)];
-    const int gj = gated[static_cast<std::size_t>(j)];
-    if (gi >= 0 && gj >= 0) {
-      t.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gi), 1.0);
-      t.add(static_cast<std::size_t>(gj), static_cast<std::size_t>(gj), 1.0);
-      t.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gj), -1.0);
-      t.add(static_cast<std::size_t>(gj), static_cast<std::size_t>(gi), -1.0);
-    } else if (gi >= 0 || gj >= 0) {
-      const int g = gi >= 0 ? gi : gj;
-      const int other = gi >= 0 ? j : i;
-      t.add(static_cast<std::size_t>(g), static_cast<std::size_t>(g), 1.0);
-      // Drain-side terminals at a high potential, the rest at a low one.
-      const int terminal = mesh.terminal[static_cast<std::size_t>(other)];
-      b[static_cast<std::size_t>(g)] += terminal == 0 ? 3.7e-4 : 1.3e-6;
-    }
-  };
-  for (int iy = 0; iy < side; ++iy) {
-    for (int ix = 0; ix < side; ++ix) {
-      const int i = mesh.index(ix, iy);
-      if (mesh.region[static_cast<std::size_t>(i)] == tcad::Region::kOutside) continue;
-      if (ix + 1 < side && mesh.region_at(ix + 1, iy) != tcad::Region::kOutside) {
-        edge(i, mesh.index(ix + 1, iy));
-      }
-      if (iy + 1 < side && mesh.region_at(ix, iy + 1) != tcad::Region::kOutside) {
-        edge(i, mesh.index(ix, iy + 1));
+  for (int y = 0; y < side; ++y) {
+    for (int x = 0; x < side; ++x) {
+      const std::size_t i = at(x, y);
+      t.add(i, i, 4.0);
+      const int neighbours[4][2] = {{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}};
+      for (const auto& [nx, ny] : neighbours) {
+        if (nx >= 0 && nx < side && ny >= 0 && ny < side) {
+          t.add(i, at(nx, ny), -1.0);
+        } else {
+          b[i] += nx < 0 ? 3.7e-4 : 1.3e-6;
+        }
       }
     }
   }
-  for (std::size_t k = 0; k < n; ++k) t.add(k, k, 1e-18);
   a = SparseMatrix(t);
 }
 
@@ -265,17 +239,19 @@ TEST(Cg, FusedIterationMatchesTextbookLoopBitwise) {
     EXPECT_EQ(fused.converged, oracle.converged) << what;
   };
 
-  SparseMatrix u;
+  SparseMatrix grid;
   Vector b;
-  u_space_system(u, b);
-  ASSERT_EQ(u.rows(), 400u);  // the gated cells of the 48-cell mesh
-  expect_same(u, b, {}, "u-space, cold");
-  // Warm start from a perturbed solution, as the block passes do.
-  Vector warm = conjugate_gradient(u, b).x;
+  grid_system(20, grid, b);
+  const auto cold = conjugate_gradient(grid, b);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_GT(cold.iterations, 30);
+  expect_same(grid, b, {}, "grid, cold");
+  // Warm start from a perturbed solution, as the TCAD block passes do.
+  Vector warm = cold.x;
   for (std::size_t i = 0; i < warm.size(); ++i) {
     warm[i] *= 1.0 + 1e-3 * std::sin(static_cast<double>(i));
   }
-  expect_same(u, b, warm, "u-space, warm");
+  expect_same(grid, b, warm, "grid, warm");
 
   for (const int n : {3, 17, 64, 150}) {
     std::mt19937 rng(static_cast<unsigned>(n) * 7 + 3);
